@@ -12,6 +12,7 @@ import json
 import os
 import re
 import sys
+import tempfile
 from dataclasses import dataclass
 
 from . import eigencone
@@ -125,12 +126,18 @@ def load_table(rs, ip, use_cache=True):
 
 
 def _store_table(path, table):
+    # each writer gets its own temp file, so concurrent writers never
+    # clobber each other's half-written entry
     try:
         os.makedirs(cache_dir(), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(_table_payload(table), fh)
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir())
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(_table_payload(table), fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError:
         pass
 
@@ -149,6 +156,13 @@ def _need(cfg, field, flag):
     if val is None:
         raise InputError(f"{cfg.command} requires {flag}")
     return val
+
+
+def _factors(cfg):
+    n = _need(cfg, "n", "-n")
+    if n < 2:
+        raise InputError(f"-n must be at least 2, got {n}")
+    return n
 
 
 def _read_points(cfg, rs):
@@ -191,7 +205,7 @@ def cmd_tables(cfg: RunConfig):
 
 def cmd_inequalities(cfg: RunConfig):
     rs = _root_system(cfg)
-    n = _need(cfg, "n", "-n")
+    n = _factors(cfg)
     _prewarm(cfg, rs)
     ineqs = generate_inequalities(rs, n)
     if cfg.fmt == "json":
@@ -208,7 +222,7 @@ def cmd_inequalities(cfg: RunConfig):
 
 def cmd_member(cfg: RunConfig):
     rs = _root_system(cfg)
-    n = _need(cfg, "n", "-n")
+    n = _factors(cfg)
     points = _read_points(cfg, rs)
     if len(points) != n:
         raise InputError(f"point file holds {len(points)} points, expected {n}")
@@ -233,7 +247,7 @@ def cmd_member(cfg: RunConfig):
 
 def cmd_verify(cfg: RunConfig):
     rs = _root_system(cfg)
-    n = _need(cfg, "n", "-n")
+    n = _factors(cfg)
     _prewarm(cfg, rs)
     ineqs = generate_inequalities(rs, n)
     report = irredundancy_check(rs, n, ineqs, workers=cfg.workers)
@@ -263,7 +277,7 @@ def cmd_verify(cfg: RunConfig):
 
 def cmd_oracle_compare(cfg: RunConfig):
     rs = _root_system(cfg)
-    n = _need(cfg, "n", "-n")
+    n = _factors(cfg)
     try:
         rep = rep_for_root_system(rs)
     except ValueError as exc:

@@ -17,20 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from weakref import WeakKeyDictionary
 
-from .quantum_ring import QuantumTable
+from .exact import as_int
+from .quantum_ring import QuantumTable, _tuple_coeff
 from .weyl import ParabolicContext, render_word
 
 __all__ = [
     "DeformedElement", "a_exponent", "deformed_product",
     "deformed_coeff_tuple", "is_levi_movable", "render_table",
 ]
-
-
-def _as_int(x):
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise AssertionError(f"expected an integer, got {f}")
-    return int(f)
 
 
 _SECOND_TERM = WeakKeyDictionary()
@@ -83,7 +77,7 @@ def a_exponent(ctx: ParabolicContext, u, v, w, d):
     out = []
     for pos, i in enumerate(qs):
         val = rs.weight_value(deficit, rs.x_point(i)) + second[pos]
-        out.append(_as_int(val))
+        out.append(as_int(val))
     return tuple(out)
 
 
@@ -125,53 +119,41 @@ def deformed_product(table: QuantumTable, u, v) -> DeformedElement:
     return DeformedElement(terms=terms)
 
 
+class _TauZeroProducts(dict):
+    """Degree-zero-specialized products keyed by class pair: (u, v) ->
+    {(class, d): coeff}, exponent-free terms only.  Each pair is worked out
+    on first lookup and stored under both orders."""
+
+    def __init__(self, table):
+        super().__init__()
+        # ctx and sigma only: holding the table would keep it alive as a
+        # key of _TZ_CACHE
+        self.ctx, self.sigma = table.ctx, table.sigma
+
+    def __missing__(self, key):
+        ctx = self.ctx
+        u, v = key if ctx.wp_index[key[0]] <= ctx.wp_index[key[1]] else key[::-1]
+        out = {}
+        for (x, d), c in self.sigma[(u, v)].items():
+            if not any(a_exponent(ctx, u, v, ctx.dual(x), d)):
+                out[(x, d)] = c
+        self[(u, v)] = self[(v, u)] = out
+        return out
+
+
 _TZ_CACHE = WeakKeyDictionary()
 
 
-def _tau_zero_product(table, u, v):
-    """Degree-zero-specialized product: {(class, d): coeff}, exponent-free
-    terms only."""
-    cache = _TZ_CACHE.setdefault(table, {})
-    ctx = table.ctx
-    key = (u, v) if ctx.wp_index[u] <= ctx.wp_index[v] else (v, u)
-    if key not in cache:
-        out = {}
-        for (x, d), c in table.sigma_product(*key).items():
-            exps = a_exponent(ctx, key[0], key[1], ctx.dual(x), d)
-            if not any(exps):
-                out[(x, d)] = c
-        cache[key] = out
-    return cache[key]
-
-
-def _multiply_tz(table, poly, u, cap):
-    out = {}
-    for (w, d), c in poly.items():
-        for (w2, d2), c2 in _tau_zero_product(table, w, u).items():
-            nd = tuple(a + b for a, b in zip(d, d2))
-            if any(a > b for a, b in zip(nd, cap)):
-                continue
-            key = (w2, nd)
-            v = out.get(key, 0) + c * c2
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-    return out
+def _tau_zero_products(table):
+    if table not in _TZ_CACHE:
+        _TZ_CACHE[table] = _TauZeroProducts(table)
+    return _TZ_CACHE[table]
 
 
 def _specialized_tuple_coeff(table, classes, degree):
     # no arity guard: the 2-point case degenerates to extracting a
     # coefficient of a single class, which the inequality enumeration uses
-    ctx = table.ctx
-    codim_sum = sum(ctx.codim(u) for u in classes)
-    need = ctx.dim + sum(a * b for a, b in zip(degree, table.q_degrees))
-    if codim_sum != need:
-        return 0
-    poly = {(classes[0], table.zero_d): 1}
-    for u in classes[1:-1]:
-        poly = _multiply_tz(table, poly, u, cap=degree)
-    return poly.get((ctx.dual(classes[-1]), degree), 0)
+    return _tuple_coeff(table, _tau_zero_products(table), classes, degree)
 
 
 def deformed_coeff_tuple(table: QuantumTable, classes, degree):
@@ -198,12 +180,13 @@ def _witness_chain(table, classes, degree):
     every step exponent-free with a nonzero coefficient; None if no chain
     reaches the target."""
     ctx = table.ctx
+    products = _tau_zero_products(table)
     target = (ctx.dual(classes[-1]), degree)
 
     def rec(state, k):
         if k == len(classes) - 1:
             return [] if state == target else None
-        for (x, nd0), c in _tau_zero_product(table, state[0], classes[k]).items():
+        for (x, nd0), c in products[(state[0], classes[k])].items():
             nd = tuple(a + b for a, b in zip(state[1], nd0))
             if any(a > b for a, b in zip(nd, degree)):
                 continue

@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact import row_reduce
 from .root_system import RootSystem, Weight, CartanPoint
 from .weyl import minimal_reps
 from .quantum_ring import build_structure_table, gw_invariant
@@ -272,27 +273,10 @@ def _affine_rank(points):
     if len(points) < 2:
         return 0
     base = points[0]
-    rows = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    rank = 0
-    ncols = len(base)
-    pivot_rows = []
-    for col in range(ncols):
-        pr = None
-        for r in range(len(rows)):
-            if r not in pivot_rows and rows[r][col] != 0:
-                pr = r
-                break
-        if pr is None:
-            continue
-        pivot_rows.append(pr)
-        rank += 1
-        inv = Fraction(1) / rows[pr][col]
-        rows[pr] = [v * inv for v in rows[pr]]
-        for r in range(len(rows)):
-            if r != pr and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
-    return rank
+    rows = [({j: a - b for j, (a, b) in enumerate(zip(p, base))}, {})
+            for p in points[1:]]
+    pivots, _ = row_reduce(rows, len(base))
+    return len(pivots)
 
 
 # --- irredundancy -----------------------------------------------------------

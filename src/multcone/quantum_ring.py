@@ -11,8 +11,10 @@ the quantum Chevalley rule.  The rest of the table is forced from those:
 
   * classical constants: the classical Chevalley rule determines the full
     flag variety G/B level by level (its cohomology is generated by divisor
-    classes), and the products of G/P restrict from G/B along the ring
-    injection that matches Schubert classes of equal codimension;
+    classes), one exact solve per level with every second factor carried
+    in a single right-hand side, and the products of G/P restrict from G/B
+    along the ring injection that matches Schubert classes of equal
+    codimension;
   * quantum constants: solved one exponent vector at a time, in increasing
     total degree, from the linear relations obtained by expanding both sides
     of tau[s_i] * (tau[b] * tau[c]) = (tau[s_i] * tau[b]) * tau[c] and
@@ -26,31 +28,14 @@ exhaustive associativity.
 """
 
 import itertools
-from fractions import Fraction
 
+from .exact import as_int, poly_add, poly_mul, solve
 from .weyl import ParabolicContext, minimal_reps
 
 __all__ = [
     "chevalley_operator", "build_structure_table", "QuantumTable",
     "classical_flag_table", "gw_invariant",
 ]
-
-
-def _as_int(x):
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise AssertionError(f"expected an integer, got {f}")
-    return int(f)
-
-
-def _poly_add(dst, src, scale=1):
-    for key, c in src.items():
-        v = dst.get(key, 0) + scale * c
-        if v:
-            dst[key] = v
-        else:
-            dst.pop(key, None)
-    return dst
 
 
 _CHEV_CACHE = {}
@@ -72,64 +57,29 @@ def chevalley_operator(ctx: ParabolicContext, i):
     rs, g = ctx.rs, ctx.group
     qs = sorted(ctx.s_p)
     zero = (0,) * len(qs)
+    # (coefficient, q-degree, reflection, q-codimension) per root; roots
+    # whose coroot misses alpha_i^vee contribute nothing
+    reflections = []
+    for alpha in ctx.outside_pos:
+        cov = rs.coroot(alpha)
+        coeff = as_int(cov[i - 1])
+        if coeff:
+            d = tuple(as_int(cov[j - 1]) for j in qs)
+            degq = sum(dj * ctx.q_degrees[j] for dj, j in zip(d, qs))
+            reflections.append((coeff, d, g.reflection(alpha), degq))
     out = {}
     for w in ctx.wp:
         terms = {}
-        for alpha in ctx.outside_pos:
-            cov = rs.coroot(alpha)
-            coeff = _as_int(cov[i - 1])
-            if coeff == 0:
-                continue
-            d = tuple(_as_int(cov[j - 1]) for j in qs)
-            ws = g.mult(w, g.reflection(alpha))
+        for coeff, d, refl, degq in reflections:
+            ws = g.mult(w, refl)
             if ws in ctx.wp_index and ws.length == w.length + 1:
-                _poly_add(terms, {(ws, zero): coeff})
-            degq = sum(dj * ctx.q_degrees[j] for dj, j in zip(d, qs))
+                poly_add(terms, {(ws, zero): coeff})
             wmin = ctx.min_rep(ws)
             if wmin.length == w.length + 1 - degq:
-                _poly_add(terms, {(wmin, d): coeff})
+                poly_add(terms, {(wmin, d): coeff})
         out[w] = terms
     _CHEV_CACHE[key] = out
     return out
-
-
-def _solve_exact(rows, ncols, fail_msg):
-    """Gaussian elimination for A x = b with exact rational entries.
-
-    rows is a list of (coefficient list, rhs) where each rhs is a dict (a
-    polynomial, or any additive record).  Returns one rhs-shaped dict per
-    unknown.  Raises RuntimeError(fail_msg()) if a column has no pivot and
-    AssertionError if the system is inconsistent.
-    """
-    rows = [([Fraction(c) for c in coeffs],
-             {k: Fraction(v) for k, v in rhs.items()}) for coeffs, rhs in rows]
-    pivot_of = {}
-    used = set()
-    for j in range(ncols):
-        pr = next((r for r in range(len(rows))
-                   if r not in used and rows[r][0][j] != 0), None)
-        if pr is None:
-            raise RuntimeError(fail_msg())
-        used.add(pr)
-        pivot_of[j] = pr
-        coeffs, rhs = rows[pr]
-        inv = Fraction(1) / coeffs[j]
-        coeffs = [c * inv for c in coeffs]
-        rhs = {k: v * inv for k, v in rhs.items()}
-        rows[pr] = (coeffs, rhs)
-        for r in range(len(rows)):
-            if r != pr and rows[r][0][j] != 0:
-                f = rows[r][0][j]
-                nc = [a - f * b for a, b in zip(rows[r][0], coeffs)]
-                nr = dict(rows[r][1])
-                _poly_add(nr, rhs, -f)
-                rows[r] = (nc, nr)
-    for r in range(len(rows)):
-        if r not in used:
-            coeffs, rhs = rows[r]
-            assert not any(coeffs) and not any(rhs.values()), \
-                "inconsistent structure-constant relations; internal error"
-    return [rows[pivot_of[j]][1] for j in range(ncols)]
 
 
 def _full_flag_context(rs):
@@ -160,35 +110,36 @@ def classical_flag_table(rs):
     for w in fctx.wp:
         levels.setdefault(w.length, []).append(w)
 
-    def apply_op(i, poly):
-        out = {}
-        for y, c in poly.items():
-            _poly_add(out, ops[i][y], c)
-        return out
-
+    # tau[s_i] * (tau[v] * tau[x]) = (tau[s_i] * tau[v]) * tau[x]: the
+    # coefficient matrix of a level does not depend on x, so every column x
+    # rides along as part of one right-hand side keyed by (x, y)
     table = {}
     for x in fctx.wp:
-        col = {fctx.group.identity: {x: 1}}
+        table[(fctx.group.identity, x)] = {x: 1}
         for i in range(1, rs.rank + 1):
-            col[fctx.group.simple(i)] = dict(ops[i][x])
-        for k in range(2, max(levels) + 1):
-            unknowns = levels[k]
-            idx = {w: n for n, w in enumerate(unknowns)}
-            rows = []
-            for i in range(1, rs.rank + 1):
-                for v in levels[k - 1]:
-                    coeffs = [0] * len(unknowns)
-                    for w, c in ops[i][v].items():
-                        coeffs[idx[w]] += c
-                    rows.append((coeffs, apply_op(i, col[v])))
-            sols = _solve_exact(
-                rows, len(unknowns),
-                lambda k=k: f"cup products of the {rs.type_label}{rs.rank} flag "
-                            f"variety are underdetermined at level {k}")
-            for w, rhs in zip(unknowns, sols):
-                col[w] = {y: _as_int(c) for y, c in rhs.items() if c}
-        for u, poly in col.items():
-            table[(u, x)] = poly
+            table[(fctx.group.simple(i), x)] = dict(ops[i][x])
+    for k in range(2, max(levels) + 1):
+        unknowns = levels[k]
+        idx = {w: n for n, w in enumerate(unknowns)}
+        rows = []
+        for i in range(1, rs.rank + 1):
+            for v in levels[k - 1]:
+                coeffs = {idx[w]: c for w, c in ops[i][v].items()}
+                rhs = {}
+                for x in fctx.wp:
+                    for y, c in table[(v, x)].items():
+                        for y2, c2 in ops[i][y].items():
+                            rhs[(x, y2)] = rhs.get((x, y2), 0) + c * c2
+                rows.append((coeffs, rhs))
+        sols = solve(
+            rows, len(unknowns),
+            lambda k=k: f"cup products of the {rs.type_label}{rs.rank} flag "
+                        f"variety are underdetermined at level {k}")
+        for w, rhs in zip(unknowns, sols):
+            for x in fctx.wp:
+                table[(w, x)] = {}
+            for (x, y), c in rhs.items():
+                table[(w, x)][y] = as_int(c)
     for (u, x), poly in table.items():
         assert table[(x, u)] == poly, (str(u), str(x))
         for w, c in poly.items():
@@ -255,15 +206,12 @@ class QuantumTable:
                 if ctx.wp_index[u] <= ctx.wp_index[v]:
                     solved[self.zero_d][(u, v)] = classical[(u, v)]
 
-        cls_op = {i: _classical_operator(ctx, i) for i in self.q_index}
-        rev_cls = {i: {} for i in self.q_index}
+        # the Chevalley terms indexed by the class they land on
+        rev_chev = {i: {} for i in self.q_index}
         for i in self.q_index:
-            for y, terms in cls_op[i].items():
-                for x, c in terms.items():
-                    rev_cls[i].setdefault(x, {})[y] = c
-        qt_op = {i: {w: {(w2, d): c for (w2, d), c in terms.items() if any(d)}
-                     for w, terms in self.chevalley[i].items()}
-                 for i in self.q_index}
+            for y, terms in self.chevalley[i].items():
+                for (x, e), c in terms.items():
+                    rev_chev[i].setdefault(x, {})[(y, e)] = c
 
         # the two classical sources must agree where they overlap
         for i in self.q_index:
@@ -275,7 +223,7 @@ class QuantumTable:
 
         degs = self._degree_vectors()
         for d in degs:
-            solved[d] = self._solve_degree(d, solved, cls_op, rev_cls, qt_op)
+            solved[d] = self._solve_degree(d, solved, rev_chev)
 
         self.tau = {}
         for u in ctx.wp:
@@ -285,7 +233,7 @@ class QuantumTable:
                     part = self._known_product(solved, d, u, v)
                     for y, c in part.items():
                         if c:
-                            poly[(y, d)] = _as_int(c)
+                            poly[(y, d)] = as_int(c)
                 self.tau[(u, v)] = poly
 
         self._derive_sigma()
@@ -315,7 +263,7 @@ class QuantumTable:
             return sector.get(self._pair(u, v), {})
         return None
 
-    def _solve_degree(self, d, solved, cls_op, rev_cls, qt_op):
+    def _solve_degree(self, d, solved, rev_chev):
         """Pin down every degree-d constant not already given by the
         Chevalley rule, using divisor associativity."""
         ctx = self.ctx
@@ -353,39 +301,38 @@ class QuantumTable:
                     for x in ctx.wp:
                         if x.length != lx:
                             continue
-                        coeffs = [Fraction(0)] * len(unknowns)
-                        rhs = Fraction(0)
-                        touched = False
+                        coeffs = {}
+                        rhs = 0
 
                         def add(u, v, y, scale):
-                            nonlocal rhs, touched
+                            nonlocal rhs
                             uu, vv = (v, u) if u.length > v.length else (u, v)
                             if y.length != uu.length + vv.length - degq:
                                 return
                             if uu.length >= 2 and vv.length >= 2:
-                                key = self._pair(uu, vv) + (y,)
-                                coeffs[index[key]] += scale
-                                touched = True
+                                col = index[self._pair(uu, vv) + (y,)]
+                                coeffs[col] = coeffs.get(col, 0) + scale
                             else:
                                 rhs -= scale * lookup(d, uu, vv, y)
 
-                        # sum over y of chev_cl(y -> x) * c_d(b, c; y)
-                        for y, k in rev_cls[i].get(x, {}).items():
-                            add(b, c, y, k)
-                        # minus sum over b' of chev_cl(b -> b') * c_d(b', c; x)
-                        for b2, k in cls_op[i][b].items():
-                            add(b2, c, x, -k)
-                        # quantum Chevalley terms land at strictly lower degree
-                        for (b2, e), k in qt_op[i][b].items():
-                            rhs += k * lookup(tuple(m - n for m, n in zip(d, e)),
-                                              b2, c, x)
-                        for y in ctx.wp:
-                            for (x2, e), k in qt_op[i][y].items():
-                                if x2 == x:
-                                    rhs -= k * lookup(
-                                        tuple(m - n for m, n in zip(d, e)), b, c, y)
+                        # quantum Chevalley terms (e nonzero) land at
+                        # strictly lower degree, so they are known.
+                        # sum over y of chev(y -> x) * c_{d-e}(b, c; y)
+                        for (y, e), k in rev_chev[i].get(x, {}).items():
+                            if any(e):
+                                rhs -= k * lookup(tuple(m - n for m, n in zip(d, e)),
+                                                  b, c, y)
+                            else:
+                                add(b, c, y, k)
+                        # minus sum over b' of chev(b -> b') * c_{d-e}(b', c; x)
+                        for (b2, e), k in self.chevalley[i][b].items():
+                            if any(e):
+                                rhs += k * lookup(tuple(m - n for m, n in zip(d, e)),
+                                                  b2, c, x)
+                            else:
+                                add(b2, c, x, -k)
 
-                        if touched:
+                        if coeffs:
                             rows.append((coeffs, {None: rhs}))
                         else:
                             assert rhs == 0, (i, str(b), str(c), str(x), d)
@@ -395,7 +342,7 @@ class QuantumTable:
                     f"/P{sorted(ctx.s_p)} are underdetermined at degree {d} "
                     f"(codimension level {degq}); this space is unsupported")
 
-        sols = _solve_exact(rows, len(unknowns), fail)
+        sols = solve(rows, len(unknowns), fail)
         out = {}
         for (u, v, y), rhs in zip(unknowns, sols):
             val = rhs.get(None, 0)
@@ -438,40 +385,13 @@ class QuantumTable:
         return self.sigma[(u, v)].get((self.ctx.dual(w), tuple(d)), 0)
 
     def multiply_tau_poly(self, poly, u, cap=None):
-        out = {}
-        for (w, d), c in poly.items():
-            for (w2, d2), c2 in self.tau[(w, u)].items():
-                nd = tuple(a + b for a, b in zip(d, d2))
-                if cap is not None and any(a > b for a, b in zip(nd, cap)):
-                    continue
-                key = (w2, nd)
-                v = out.get(key, 0) + c * c2
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-        return out
+        """Multiply a {(w, d): coeff} combination of tau classes by tau[u]."""
+        return poly_mul(poly, self.tau, u, cap)
 
     def multiply_sigma_poly(self, poly, u, cap=None):
-        """Multiply a {(w, d): coeff} combination of sigma classes by sigma[u].
-
-        cap, if given, is a componentwise bound on the exponents; terms
-        beyond it are dropped (they cannot contribute to the coefficients
-        being extracted).
-        """
-        out = {}
-        for (w, d), c in poly.items():
-            for (w2, d2), c2 in self.sigma[(w, u)].items():
-                nd = tuple(a + b for a, b in zip(d, d2))
-                if cap is not None and any(a > b for a, b in zip(nd, cap)):
-                    continue
-                key = (w2, nd)
-                v = out.get(key, 0) + c * c2
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-        return out
+        """Multiply a {(w, d): coeff} combination of sigma classes by
+        sigma[u], dropping exponents beyond the componentwise bound cap."""
+        return poly_mul(poly, self.sigma, u, cap)
 
 
 def build_structure_table(ctx: ParabolicContext, preset_tau=None) -> QuantumTable:
@@ -494,14 +414,19 @@ def gw_invariant(table: QuantumTable, classes, degree):
     for u in classes:
         if u not in ctx.wp_index:
             raise ValueError(f"{u} is not a minimal representative here")
+    return _tuple_coeff(table, table.sigma, classes, degree)
 
-    # grading: the invariant vanishes unless codimensions balance
+
+def _tuple_coeff(table, products, classes, degree):
+    """The coefficient of q^degree [dual(u_n)] in the product of the first
+    n-1 classes, products[(w, u)] giving each two-class product; zero
+    unless the codimensions balance."""
+    ctx = table.ctx
     codim_sum = sum(ctx.codim(u) for u in classes)
     need = ctx.dim + sum(a * b for a, b in zip(degree, table.q_degrees))
     if codim_sum != need:
         return 0
-
     poly = {(classes[0], table.zero_d): 1}
     for u in classes[1:-1]:
-        poly = table.multiply_sigma_poly(poly, u, cap=degree)
+        poly = poly_mul(poly, products, u, degree)
     return poly.get((ctx.dual(classes[-1]), degree), 0)

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .exact import solve
+
 __all__ = [
     "Weight", "CartanPoint", "RootSystem", "build_root_system",
     "killing_form", "kappa", "kappa_inv",
@@ -115,20 +117,11 @@ def _bonds(type_label, n):
 
 
 def _invert(mat):
-    """Exact inverse of a square Fraction matrix by Gauss-Jordan."""
+    """Exact inverse of a square matrix: one solve against the identity."""
     n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    rows = [(dict(enumerate(row)), {i: 1}) for i, row in enumerate(mat)]
+    cols = solve(rows, n, lambda: "singular matrix")
+    return tuple(tuple(Fraction(col.get(i, 0)) for i in range(n)) for col in cols)
 
 
 class RootSystem:
@@ -297,12 +290,6 @@ class RootSystem:
     def in_alcove(self, pt: CartanPoint):
         """mu lies in the fundamental alcove: alpha_j(mu) >= 0 and theta(mu) <= 1."""
         return all(m >= 0 for m in pt.coords) and self.theta_value(pt) <= 1
-
-    def coroot_point(self, coroot_coords):
-        """The Cartan point of an element given on the simple-coroot basis."""
-        return CartanPoint(tuple(
-            sum(Fraction(b) * self.cartan[k][i] for k, b in enumerate(coroot_coords))
-            for i in range(self.rank)))
 
     def x_point(self, j):
         """x_j as a CartanPoint (all coordinates 0 except m_j = 1), 1-indexed."""

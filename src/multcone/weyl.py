@@ -2,13 +2,14 @@
 
 Elements are stored by their exact integer action matrix on the
 fundamental-weight basis; reduced words are the lexicographically minimal
-ones (found by breadth-first closure, cross-checkable by greedy descent).
+ones, found by breadth-first closure.
 Words render as "s1 s2 s1", the identity as "e".
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact import as_int
 from .root_system import RootSystem, Weight, CartanPoint
 
 __all__ = [
@@ -146,33 +147,9 @@ class WeylGroup:
         n = self.rs.rank
         cov = self.rs.coroot(root)
         fund = tuple(sum(self.rs.cartan[i][j] * root[j] for j in range(n)) for i in range(n))
-        mat = tuple(tuple((1 if i == j else 0) - _as_int(cov[j] * fund[i])
+        mat = tuple(tuple((1 if i == j else 0) - as_int(cov[j] * fund[i])
                           for j in range(n)) for i in range(n))
         return self.by_matrix[mat]
-
-    def greedy_word(self, w: WeylElement):
-        """Reduced word by greedy leftmost descent: repeatedly strip the
-        smallest i with length(s_i w) < length(w). Agrees with the cached
-        breadth-first word."""
-        out = []
-        m = w.matrix
-        cur = self.by_matrix[m]
-        while cur.word:
-            lw = cur.length
-            for i in range(1, self.rs.rank + 1):
-                cand = self.by_matrix[_matmul(self.simple_matrices[i - 1], cur.matrix)]
-                if cand.length < lw:
-                    out.append(i)
-                    cur = cand
-                    break
-        return tuple(out)
-
-
-def _as_int(x):
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise AssertionError(f"expected an integer, got {f}")
-    return int(f)
 
 
 _GROUPS = {}
@@ -245,7 +222,7 @@ class ParabolicContext:
             via_rho = 2 - 2 * self.rho_l.coords[i - 1]
             via_chi = chi_e.coords[i - 1]
             assert via_rho == via_chi, (i, via_rho, via_chi)
-            deg = _as_int(via_rho)
+            deg = as_int(via_rho)
             assert deg > 0
             self.q_degrees[i] = deg
 
@@ -366,7 +343,7 @@ def s_matrix(ctx: ParabolicContext):
             tot = Fraction(0)
             for r in ctx.outside_pos:
                 tot += Fraction(r[i - 1]) * rs.root_pairing(r, j)
-            val = _as_int(tot)
+            val = as_int(tot)
             assert val >= 0, (i, j, val)
             norm_i = rs.form_on_root_coords(_unit(rs.rank, i - 1), _unit(rs.rank, i - 1))
             expect = Fraction(2 * rs.dual_coxeter) / norm_i if i == j else Fraction(0)

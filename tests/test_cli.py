@@ -86,6 +86,20 @@ def test_tables_survives_corrupt_cache(run, isolated_cache):
     assert code == 0 and again == first
 
 
+def test_tables_cache_write_ignores_stale_temp(run, isolated_cache):
+    # a leftover "<entry>.tmp" (here a directory, which cannot be opened
+    # for writing) must not stop the entry from being written
+    entry = isolated_cache / "table-B2-P2-v1.json"
+    (isolated_cache / (entry.name + ".tmp")).mkdir(parents=True)
+    code, out, _ = run("tables", "--type", "B2", "--parabolic", "2")
+    assert code == 0
+    assert json.loads(entry.read_text())["type"] == "B"
+    assert sorted(p.name for p in isolated_cache.iterdir()) == \
+        [entry.name, entry.name + ".tmp"]
+    code, again, _ = run("tables", "--type", "B2", "--parabolic", "2")
+    assert code == 0 and again == out
+
+
 def test_tables_requires_parabolic(run):
     code, _, err = run("tables", "--type", "B2")
     assert code == 2
@@ -132,6 +146,16 @@ def test_type_parsing(run):
     assert code == 2 and err == "error: --rank 3 contradicts --type B2\n"
     code, _, err = run("inequalities", "--type", "H3", "-n", "3")
     assert code == 2 and "malformed type 'H3'" in err
+
+
+@pytest.mark.parametrize("command",
+                         ["inequalities", "member", "verify", "oracle-compare"])
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_too_few_factors_rejected(run, tmp_path, command, n):
+    path = points_file(tmp_path, [["1/2", "1/4"]])
+    code, out, err = run(command, "--type", "A2", "-n", n, "--point", path)
+    assert code == 2 and out == ""
+    assert err == f"error: -n must be at least 2, got {n}\n"
 
 
 def test_member_inside(run, tmp_path):

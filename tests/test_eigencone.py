@@ -182,3 +182,34 @@ def test_membership_symmetric_in_points(ms, perm):
     base = ec.membership(A1, 3, points, qs).status
     shuffled = [points[i] for i in perm]
     assert ec.membership(A1, 3, shuffled, qs).status == base
+
+
+def test_affine_rank_of_degenerate_points():
+    collinear = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (-1, -1, -1)]
+    assert ec._affine_rank(collinear) == 1
+    planar = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+    assert ec._affine_rank(planar) == 2
+    assert ec._affine_rank([(5, 5, 5)] * 3) == 0
+    assert ec._affine_rank([(1, 2, 3)]) == 0
+
+
+def _lp(obj, a_rows, b, rhs):
+    F = Fraction
+    return ([F(v) for v in obj], [[F(v) for v in row] for row in a_rows],
+            [F(v) for v in b], F(rhs), len(obj))
+
+
+def test_certify_payload_facet_witness():
+    # maximize x1 over the unit square against x1 <= 1: the optimum is
+    # attained on the whole edge x1 = 1, a facet of the square
+    ok, method, opt, witness = ec._certify_payload(
+        _lp([1, 0], [[1, 0], [0, 1]], [1, 1], 1))
+    assert (ok, method, opt, witness) == (True, "facet-witness", 1, ())
+
+
+def test_certify_payload_uncertified():
+    # maximize x1 over the triangle x >= 0, x1 + x2 <= 1 against x1 <= 1:
+    # the bound is reached only at the vertex (1, 0), not on a facet
+    ok, method, opt, witness = ec._certify_payload(
+        _lp([1, 0], [[1, 1]], [1], 1))
+    assert (ok, method, opt, witness) == (False, "uncertified", 1, ())

@@ -172,3 +172,13 @@ def test_root_coords_roundtrip(t, r):
     for a in rs.positive_roots:
         w = rs.weight_from_root_coords(a)
         assert rs.root_coords(w) == tuple(F(c) for c in a)
+
+
+@pytest.mark.parametrize("t,r", sorted(POS_ROOT_COUNTS))
+def test_inverse_cartan(t, r):
+    rs = build_root_system(t, r)
+    ident = tuple(tuple(F(int(i == j)) for j in range(r)) for i in range(r))
+    prod = tuple(tuple(sum(rs.cartan[i][k] * rs.inverse_cartan[k][j]
+                           for k in range(r)) for j in range(r))
+                 for i in range(r))
+    assert prod == ident
