@@ -4,11 +4,13 @@ Commands: tables, inequalities, member, verify, oracle-compare.  Output is
 deterministic for a fixed argument vector: rerunning a command produces
 byte-identical bytes on stdout.  Exit code 0 means success, 1 means a
 mathematical verification failed, 2 means the invocation or an input file
-was bad.
+was bad, or the library refused the request with a ValueError or
+RuntimeError; either way stderr gets one "error: ..." line.
 """
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -278,6 +280,10 @@ def cmd_verify(cfg: RunConfig):
 def cmd_oracle_compare(cfg: RunConfig):
     rs = _root_system(cfg)
     n = _factors(cfg)
+    if cfg.restarts < 1:
+        raise InputError(f"--restarts must be at least 1, got {cfg.restarts}")
+    if not (math.isfinite(cfg.tol) and cfg.tol > 0):
+        raise InputError(f"--tol must be a positive finite number, got {cfg.tol}")
     try:
         rep = rep_for_root_system(rs)
     except ValueError as exc:
@@ -400,8 +406,11 @@ def main(argv=None):
     try:
         cfg = config_from_args(args)
         return _COMMANDS[cfg.command](cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InputError, ValueError, RuntimeError) as exc:
+        # a library refusal (say, an underdetermined quantum solve) is an
+        # input the program cannot handle, not a failed check
+        message = " ".join(str(exc).splitlines()) or type(exc).__name__
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

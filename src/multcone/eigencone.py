@@ -13,9 +13,13 @@ for the irredundancy certificates.
 
 import itertools
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from multiprocessing import get_context
+from operator import mul
 
 from .exact import row_reduce
 from .root_system import RootSystem, Weight, CartanPoint
@@ -28,6 +32,7 @@ __all__ = [
     "generate_inequalities", "baseline_inequalities",
     "membership", "MembershipVerdict",
     "irredundancy_check", "IrredundancyReport", "Certificate",
+    "check_certificate",
     "distinctness_check", "DistinctnessReport",
     "inequality_to_obj", "inequality_from_obj",
     "points_to_obj", "points_from_obj",
@@ -123,6 +128,8 @@ def _enumerate_system(rs, n, keep):
         ctx = table.ctx
         qdeg = table.q_degrees[0]
         omega = rs.fundamental_weight(ip)
+        # one Weight object per class, shared by every inequality using it
+        moved = {u: u.act(omega) for u in ctx.wp}
         # forced cap: total codimension is at most n*dim
         cap = ((n - 1) * ctx.dim) // qdeg
         for d in range(cap + 1):
@@ -136,7 +143,7 @@ def _enumerate_system(rs, n, keep):
                     parabolic=ip,
                     words=tuple(u.word for u in tup),
                     d=d,
-                    lhs_weights=tuple(u.act(omega) for u in tup),
+                    lhs_weights=tuple(moved[u] for u in tup),
                     rhs=d))
     out.sort(key=lambda q: q.key())
     return out
@@ -154,6 +161,43 @@ def baseline_inequalities(rs: RootSystem, n):
     deformed list is a subset of this one."""
     return _enumerate_system(
         rs, n, lambda t, tup, dd: gw_invariant(t, tup, dd) == 1)
+
+
+# --- compiled system --------------------------------------------------------
+
+@dataclass(frozen=True)
+class _System:
+    """An inequality list compiled to integer rows over the n*rank alcove
+    coordinates of an n-tuple: rows[i] = (coeffs, rhs) reads coeffs . x <=
+    rhs and is inequality i in simple-root coordinates times scales[i]."""
+    n: int
+    rank: int
+    theta: tuple
+    rows: tuple
+    scales: tuple
+
+
+def _compile(rs: RootSystem, n, inequalities) -> _System:
+    # each distinct weight u.omega_P goes through the inverse Cartan matrix once
+    coords = {}
+    rows, scales = [], []
+    for q in inequalities:
+        for wgt in q.lhs_weights:
+            if wgt not in coords:
+                coords[wgt] = _integral(rs.root_coords(wgt))
+        blocks = [coords[wgt] for wgt in q.lhs_weights]
+        scale = lcm(*(den for _, den in blocks))
+        flat = tuple(c * (scale // den) for ints, den in blocks for c in ints)
+        rows.append((flat, q.rhs * scale))
+        scales.append(scale)
+    return _System(n, rs.rank, tuple(rs.highest_root), tuple(rows),
+                   tuple(scales))
+
+
+def _integral(values):
+    """(ints, den) with values[i] == ints[i] / den."""
+    den = lcm(*(Fraction(v).denominator for v in values))
+    return [int(v * den) for v in values], den
 
 
 # --- membership -------------------------------------------------------------
@@ -177,9 +221,13 @@ def membership(rs: RootSystem, n, points, inequalities) -> MembershipVerdict:
                              f"expected {rs.rank}")
         if not rs.in_alcove(p):
             raise ValueError(f"point {k + 1} is not in the fundamental alcove")
+    inequalities = list(inequalities)
+    system = _compile(rs, n, inequalities)
+    x, den = _integral([m for p in points for m in p.coords])
     violated, tight = [], []
-    for q in inequalities:
-        s = q.slack(rs, points)
+    for q, (coeffs, rhs) in zip(inequalities, system.rows):
+        # the slack times scale * den, so it keeps the slack's sign
+        s = rhs * den - sum(map(mul, coeffs, x))
         if s < 0:
             violated.append(q)
         elif s == 0:
@@ -194,9 +242,14 @@ class _Simplex:
     """Primal simplex over the rationals with Bland's anti-cycling rule.
 
     Constraints A x <= b with x >= 0 and b >= 0, so the slack basis starts
-    feasible and no phase-1 is needed.  maximize() can be called repeatedly
-    with different objectives; freezing the nonbasic columns that carry a
-    negative reduced cost restricts later calls to the current optimal face.
+    feasible and no phase-1 is needed.  Variable j < nvars is x_j and
+    variable nvars + i is the slack of row i; Bland's rule picks both the
+    entering and the leaving variable by this numbering.  The tableau is
+    condensed: row r reads x[basis[r]] + sum_c rows[r][c] x[nonbasic[c]] =
+    rows[r][-1], and a pivot swaps basis[r] with nonbasic[c].
+    maximize() can be called repeatedly with different objectives; freezing
+    the nonbasic variables that carry a negative reduced cost restricts
+    later calls to the current optimal face.
     """
 
     MAX_PIVOTS = 200000
@@ -205,50 +258,47 @@ class _Simplex:
         self.nvars = len(a_rows[0]) if a_rows else 0
         self.m = len(a_rows)
         assert all(v >= 0 for v in b), "single-phase start needs b >= 0"
-        self.rows = []
-        for i, row in enumerate(a_rows):
-            r = [Fraction(v) for v in row]
-            r += [Fraction(int(k == i)) for k in range(self.m)]
-            r.append(Fraction(b[i]))
-            self.rows.append(r)
-        self.total = self.nvars + self.m
-        self.basis = list(range(self.nvars, self.total))
+        self.rows = [[Fraction(v) for v in row] + [Fraction(bi)]
+                     for row, bi in zip(a_rows, b)]
+        self.basis = list(range(self.nvars, self.nvars + self.m))
+        self.nonbasic = list(range(self.nvars))
         self.obj = None
 
     def _pivot(self, pr, pc):
         row = self.rows[pr]
-        inv = Fraction(1) / row[pc]
+        inv = 1 / row[pc]
         row = [v * inv for v in row]
+        row[pc] = inv   # the column now holds the leaving variable
         self.rows[pr] = row
-        for r in range(self.m):
-            if r != pr and self.rows[r][pc]:
-                f = self.rows[r][pc]
-                self.rows[r] = [a - f * b for a, b in zip(self.rows[r], row)]
-        if self.obj[pc]:
-            f = self.obj[pc]
-            self.obj = [a - f * b for a, b in zip(self.obj, row)]
-        self.basis[pr] = pc
+        nonzero = [(c, v) for c, v in enumerate(row) if v]
+        for other in itertools.chain(self.rows, (self.obj,)):
+            f = other[pc]
+            if f and other is not row:
+                other[pc] = 0
+                for c, v in nonzero:
+                    other[c] -= f * v
+        self.basis[pr], self.nonbasic[pc] = self.nonbasic[pc], self.basis[pr]
 
     def maximize(self, costs, frozen=frozenset()):
-        obj = [Fraction(v) for v in costs]
-        obj += [Fraction(0)] * (self.m + 1)
+        costs = [Fraction(v) for v in costs] + [Fraction(0)] * self.m
+        obj = [costs[j] for j in self.nonbasic] + [Fraction(0)]
         for r, bj in enumerate(self.basis):
-            if obj[bj]:
-                f = obj[bj]
+            if costs[bj]:
+                f = costs[bj]
                 obj = [a - f * b for a, b in zip(obj, self.rows[r])]
         self.obj = obj
         for _ in range(self.MAX_PIVOTS):
-            pc = next((j for j in range(self.total)
-                       if j not in frozen and self.obj[j] > 0), None)
-            if pc is None:
-                return -self.obj[-1]
+            entering = [(j, c) for c, j in enumerate(self.nonbasic)
+                        if obj[c] > 0 and j not in frozen]
+            if not entering:
+                return -obj[-1]
+            pc = min(entering)[1]
             best = None
-            for r in range(self.m):
-                a = self.rows[r][pc]
+            for r, row in enumerate(self.rows):
+                a = row[pc]
                 if a > 0:
-                    ratio = self.rows[r][-1] / a
-                    cand = (ratio, self.basis[r], r)
-                    if best is None or cand[:2] < best[:2]:
+                    cand = (row[-1] / a, self.basis[r], r)
+                    if best is None or cand < best:
                         best = cand
             if best is None:
                 raise RuntimeError("linear program unbounded; the alcove "
@@ -257,9 +307,8 @@ class _Simplex:
         raise RuntimeError("simplex pivot guard exceeded")
 
     def frozen_nonbasic(self):
-        basic = set(self.basis)
-        return frozenset(j for j in range(self.total)
-                         if j not in basic and self.obj[j] < 0)
+        return frozenset(j for c, j in enumerate(self.nonbasic)
+                         if self.obj[c] < 0)
 
     def solution(self):
         x = [Fraction(0)] * self.nvars
@@ -303,12 +352,73 @@ class IrredundancyReport:
         return not self.failures
 
 
-def _ineq_row(rs, q, n):
-    row = [Fraction(0)] * (n * rs.rank)
-    for k, wgt in enumerate(q.lhs_weights):
-        for j, c in enumerate(rs.root_coords(wgt)):
-            row[k * rs.rank + j] += c
-    return row
+def check_certificate(rs: RootSystem, n, rows, j, witness):
+    """Exact check, without the simplex, that witness (the flat n*rank
+    coordinates of an n-tuple) separates row j from the others: it lies in
+    the closed alcove^n, violates row j strictly and satisfies every other
+    row.  rows holds (coeffs, rhs) pairs meaning coeffs . x <= rhs."""
+    rank = rs.rank
+    if len(witness) != n * rank:
+        return False
+    for k in range(n):
+        if not rs.in_alcove(CartanPoint(tuple(witness[k * rank:(k + 1) * rank]))):
+            return False
+    x, den = _integral(witness)
+    return all((sum(map(mul, coeffs, x)) > rhs * den) == (i == j)
+               for i, (coeffs, rhs) in enumerate(rows))
+
+
+def _permute(flat, perm, rank):
+    """Block t of the result is block perm[t] of the flat vector."""
+    return tuple(v for k in perm for v in flat[k * rank:(k + 1) * rank])
+
+
+def _block_symmetries(system):
+    """Generators of the group of factor-block permutations that map the
+    row multiset onto itself: the two generators of S_n when both qualify,
+    as they do for every generated system, else every qualifying one."""
+    n, rank = system.n, system.rank
+    count = Counter(system.rows)
+
+    def keeps(perm):
+        return count == Counter((_permute(coeffs, perm, rank), rhs)
+                                for coeffs, rhs in system.rows)
+
+    swap = (1, 0) + tuple(range(2, n))
+    cycle = tuple(range(1, n)) + (0,)
+    if n >= 2 and keeps(swap) and keeps(cycle):
+        return [swap, cycle]
+    return [p for p in itertools.permutations(range(n)) if keeps(p)]
+
+
+def _orbits(system):
+    """The rows' orbits under the block symmetries, as (representative,
+    [(member, perm), ...]) with row member equal to the representative's
+    row permuted by perm; the representative is the orbit's lowest index,
+    and equal rows share an orbit."""
+    gens = _block_symmetries(system)
+    by_row = {}
+    for i, row in enumerate(system.rows):
+        by_row.setdefault(row, []).append(i)
+    placed = set()
+    out = []
+    for i, row in enumerate(system.rows):
+        if i in placed:
+            continue
+        perms = {row: tuple(range(system.n))}
+        queue = [row]
+        while queue:
+            cur = queue.pop()
+            for g in gens:
+                nxt = (_permute(cur[0], g, system.rank), cur[1])
+                if nxt not in perms:
+                    perms[nxt] = tuple(perms[cur][t] for t in g)
+                    queue.append(nxt)
+        members = sorted((k, perm) for r, perm in perms.items()
+                         for k in by_row[r])
+        placed.update(k for k, _ in members)
+        out.append((i, members))
+    return out
 
 
 def _certify_payload(payload):
@@ -344,45 +454,71 @@ def _certify_payload(payload):
     return (False, "uncertified", opt, ())
 
 
+def _certify_row(system, j):
+    """Certify row j against every other row plus the alcove constraints;
+    the optimum comes back in the inequality's own units."""
+    n, rank = system.n, system.rank
+    a_rows = [[0] * (k * rank) + list(system.theta) + [0] * ((n - 1 - k) * rank)
+              for k in range(n)]
+    b = [1] * n
+    for i, (coeffs, rhs) in enumerate(system.rows):
+        if i != j:
+            a_rows.append(coeffs)
+            b.append(rhs)
+    coeffs, rhs = system.rows[j]
+    ok, method, opt, witness = _certify_payload((coeffs, a_rows, b, rhs, n * rank))
+    return ok, method, opt / system.scales[j], witness
+
+
+_WORKER_SYSTEM = None
+
+
+def _init_worker(system):
+    global _WORKER_SYSTEM
+    _WORKER_SYSTEM = system
+
+
+def _certify_in_worker(j):
+    return _certify_row(_WORKER_SYSTEM, j)
+
+
 def irredundancy_check(rs: RootSystem, n, inequalities, workers=None) -> IrredundancyReport:
-    """One exact LP per inequality: maximize its left side subject to all
-    the others plus the alcove constraints.  An optimum beyond the right
-    side yields a point violating only that inequality; an optimum exactly
-    on it falls back to a facet certificate."""
+    """One exact LP per orbit of the factor-block symmetries: maximize the
+    representative's left side subject to all the other inequalities plus
+    the alcove constraints.  An optimum beyond the right side yields a point
+    violating only that inequality; an optimum exactly on it falls back to
+    a facet certificate.  The other members of the orbit take over the
+    optimum and method, and the witness with its blocks permuted.  Every
+    separating point is re-checked by check_certificate; one that fails the
+    check is reported uncertified."""
     if n < 3:
         warnings.warn("with fewer than three factors the region can have "
                       "empty interior; irredundancy certificates are then "
                       "meaningless", stacklevel=2)
     inequalities = list(inequalities)
-    alc = alcove(rs)
-    theta = [Fraction(t) for t in rs.highest_root]
-    nvars = n * rs.rank
-
-    payloads = []
-    for j, q in enumerate(inequalities):
-        a_rows, b = [], []
-        for k in range(n):
-            row = [Fraction(0)] * nvars
-            for jj in range(rs.rank):
-                row[k * rs.rank + jj] = theta[jj]
-            a_rows.append(row)
-            b.append(Fraction(1))
-        for i, other in enumerate(inequalities):
-            if i != j:
-                a_rows.append(_ineq_row(rs, other, n))
-                b.append(Fraction(other.rhs))
-        payloads.append((_ineq_row(rs, q, n), a_rows, b, Fraction(q.rhs), nvars))
-
+    system = _compile(rs, n, inequalities)
+    orbits = _orbits(system)
+    reps = [rep for rep, _ in orbits]
     if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_certify_payload, payloads))
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=get_context("spawn"),
+                                 initializer=_init_worker,
+                                 initargs=(system,)) as pool:
+            results = list(pool.map(_certify_in_worker, reps))
     else:
-        results = [_certify_payload(p) for p in payloads]
+        results = [_certify_row(system, j) for j in reps]
 
-    certs = tuple(
-        Certificate(q, ok, method, opt, witness)
-        for q, (ok, method, opt, witness) in zip(inequalities, results))
-    return IrredundancyReport(certs)
+    certs = [None] * len(inequalities)
+    for (_, members), (ok, method, opt, witness) in zip(orbits, results):
+        for k, perm in members:
+            point = _permute(witness, perm, rs.rank)
+            if (method == "separating-point"
+                    and not check_certificate(rs, n, system.rows, k, point)):
+                certs[k] = Certificate(inequalities[k], False, "uncertified",
+                                       opt, ())
+            else:
+                certs[k] = Certificate(inequalities[k], ok, method, opt, point)
+    return IrredundancyReport(tuple(certs))
 
 
 # --- distinctness -----------------------------------------------------------

@@ -218,6 +218,23 @@ def test_verify_json_schema(run):
     assert obj["duplicate_pairs"] == []
 
 
+def test_verify_a3_n3(run):
+    code, out, _ = run("verify", "--type", "A3", "-n", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "72/72 irredundant, 0 duplicate pairs"
+    assert len(lines) == 73
+
+
+def test_verify_exits_1_when_a_certificate_fails_its_check(run, monkeypatch):
+    monkeypatch.setattr(eigencone, "check_certificate", lambda *args: False)
+    code, out, _ = run("verify", "--type", "A1", "-n", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "0/4 irredundant, 0 duplicate pairs"
+    assert all(ln.endswith(" :: uncertified") for ln in lines[1:])
+
+
 def test_oracle_compare_text(run, tmp_path):
     path = points_file(
         tmp_path, [["1/2"], ["1/2"], ["1/2"], ["1"], ["1"], ["1"]])
@@ -257,3 +274,31 @@ def test_points_schema_accepts_point_files(tmp_path):
     jsonschema.validate(payload, schema("points.schema.json"))
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate({"points": [["x"]]}, schema("points.schema.json"))
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--restarts", "-3", "--restarts must be at least 1, got -3"),
+    ("--restarts", "0", "--restarts must be at least 1, got 0"),
+    ("--tol", "-1", "--tol must be a positive finite number, got -1.0"),
+    ("--tol", "0", "--tol must be a positive finite number, got 0.0"),
+    ("--tol", "nan", "--tol must be a positive finite number, got nan"),
+    ("--tol", "inf", "--tol must be a positive finite number, got inf"),
+])
+def test_oracle_compare_rejects_bad_search_settings(run, tmp_path, flag,
+                                                    value, message):
+    path = points_file(tmp_path, [["1/2"]] * 3)
+    code, out, err = run("oracle-compare", "--type", "A1", "-n", "3",
+                         "--point", path, flag, value)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("exc", [ValueError, RuntimeError])
+def test_library_error_is_one_line_exit_2(run, monkeypatch, exc):
+    def refuse(rs, ip):
+        raise exc(f"quantum products of {rs.type_label}{rs.rank}/P[{ip}] "
+                  "are underdetermined\nat degree (1,)")
+    monkeypatch.setattr(eigencone, "structure_table", refuse)
+    code, out, err = run("tables", "--type", "B4", "--parabolic", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: quantum products of B4/P[3] are underdetermined "
+                   "at degree (1,)\n")

@@ -100,9 +100,78 @@ def test_irredundancy_detects_slack_inequality(a1_n3):
 
 
 def test_irredundancy_workers_match(a1_n3):
-    seq = ec.irredundancy_check(A1, 3, a1_n3)
-    par = ec.irredundancy_check(A1, 3, a1_n3, workers=2)
-    assert seq == par
+    for rs, qs in [(A1, a1_n3), (B2, ec.generate_inequalities(B2, 3))]:
+        seq = ec.irredundancy_check(rs, 3, qs)
+        par = ec.irredundancy_check(rs, 3, qs, workers=2)
+        assert seq == par
+
+
+def _one_lp_per_inequality(rs, n, qs):
+    system = ec._compile(rs, n, qs)
+    return [ec._certify_row(system, j)[:3] for j in range(len(qs))]
+
+
+def _verdicts(report):
+    return [(c.certified, c.method, c.optimum) for c in report.certificates]
+
+
+@pytest.mark.parametrize("t, r, n, orbits", [("B", 2, 3, 8), ("A", 2, 4, 10)])
+def test_orbit_reduction_matches_one_lp_per_inequality(t, r, n, orbits):
+    rs = build_root_system(t, r)
+    qs = ec.generate_inequalities(rs, n)
+    system = ec._compile(rs, n, qs)
+    assert len(ec._orbits(system)) == orbits
+    report = ec.irredundancy_check(rs, n, qs)
+    assert _verdicts(report) == _one_lp_per_inequality(rs, n, qs)
+    for j, c in enumerate(report.certificates):
+        assert ec.check_certificate(rs, n, system.rows, j, c.witness)
+
+
+def _signs(q):
+    return tuple(w.coords[0] for w in q.lhs_weights)
+
+
+def test_irredundancy_with_duplicate_row(a1_n3):
+    qs = list(a1_n3) + [a1_n3[0]]
+    system = ec._compile(A1, 3, qs)
+    # the copy breaks the symmetry of the row multiset down to the
+    # permutations that fix the copied row, and shares its orbit
+    assert ec._block_symmetries(system) == [(0, 1, 2), (0, 2, 1)]
+    assert ec._orbits(system)[0] == (0, [(0, (0, 1, 2)), (4, (0, 1, 2))])
+    report = ec.irredundancy_check(A1, 3, qs)
+    assert _verdicts(report) == _one_lp_per_inequality(A1, 3, qs)
+    # each copy bounds the other, so neither can be separated; both are
+    # still facets, and distinctness_check is what flags the pair
+    for k in (0, 4):
+        c = report.certificates[k]
+        assert (c.certified, c.method, c.optimum) == (True, "facet-witness", 0)
+
+
+def test_irredundancy_on_a_list_that_is_not_invariant(a1_n3):
+    # dropping the row with the plus sign on the first factor leaves only
+    # the swap of the last two factors as a symmetry
+    qs = [q for q in a1_n3 if _signs(q) != (1, -1, -1)]
+    system = ec._compile(A1, 3, qs)
+    assert ec._block_symmetries(system) == [(0, 1, 2), (0, 2, 1)]
+    assert len(ec._orbits(system)) == 2
+    report = ec.irredundancy_check(A1, 3, qs)
+    assert _verdicts(report) == _one_lp_per_inequality(A1, 3, qs)
+    assert report.all_certified
+
+
+def test_check_certificate_rejects_tampered_witnesses():
+    # x0 <= 1/2, x1 <= 1/2 and x0 + x1 <= 1 on two A1 alcove points
+    rows = [((2, 0), 1), ((0, 2), 1), ((1, 1), 1)]
+    F = Fraction
+
+    def check(*w):
+        return ec.check_certificate(A1, 2, rows, 0, tuple(F(v) for v in w))
+
+    assert check("3/4", 0)
+    assert not check("5/4", "-1/2")   # separates, but leaves the alcove
+    assert not check("3/4", "1/2")    # also violates x0 + x1 <= 1
+    assert not check("1/2", 0)        # only reaches its own bound
+    assert not check("3/4")           # one coordinate short
 
 
 def test_small_n_warns(a1_n3):
@@ -182,6 +251,20 @@ def test_membership_symmetric_in_points(ms, perm):
     base = ec.membership(A1, 3, points, qs).status
     shuffled = [points[i] for i in perm]
     assert ec.membership(A1, 3, shuffled, qs).status == base
+
+
+@settings(max_examples=40, deadline=None)
+@given(ms=st.tuples(*[st.fractions(min_value=0, max_value=Fraction(1, 3),
+                                   max_denominator=12)] * 6))
+def test_membership_matches_slack_reference(ms):
+    # B2's weights have half-integer root coordinates, so the compiled rows
+    # are scaled; the verdict must still follow the plain slacks
+    qs = ec.generate_inequalities(B2, 3)
+    points = [pt(*ms[k:k + 2]) for k in (0, 2, 4)]
+    slacks = [q.slack(B2, points) for q in qs]
+    v = ec.membership(B2, 3, points, qs)
+    assert v.violated == tuple(q for q, s in zip(qs, slacks) if s < 0)
+    assert v.tight == tuple(q for q, s in zip(qs, slacks) if s == 0)
 
 
 def test_affine_rank_of_degenerate_points():
