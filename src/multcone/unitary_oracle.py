@@ -3,9 +3,14 @@
 A tuple of alcove points is feasible when the identity can be written as a
 product of matrices drawn from the corresponding conjugacy classes.  The
 oracle searches for a witness by seeded random restarts plus Riemannian
-gradient descent over the conjugating unitaries, then polishes the best
-candidates by cyclically re-solving one factor at a time from the
-eigenvectors of what the other factors force it to be.
+gradient descent over the conjugating unitaries.  Each step is taken along
+the Cayley map (Wen and Yin, Math. Program. 142, 2013), which sends the
+projected gradient in u(N), or in sp(4) for Sp(4), to a group element with
+one linear solve; each restart backtracks on its own.  Candidates are
+polished by cyclically re-solving one factor at a time from the
+eigenvectors of what the other factors force it to be: the best restart at
+iterations 0, 1, 2, 4, 8, ..., stopping the search at the first checked
+witness far below tolerance, and otherwise the ten best at the end.
 
 The search is one-sided: a witness below tolerance certifies feasibility,
 failure to find one proves nothing.  The SU(2) case also has an exact
@@ -94,6 +99,16 @@ def _expm_skew(s):
     return (v * phase[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
+def _cayley(a):
+    """Cayley map (I - a/2)^-1 (I + a/2) of batched skew-Hermitian matrices.
+
+    It agrees with exp to second order and maps u(N) into U(N), and sp(4)
+    into Sp(4), exactly up to rounding, for one batched linear solve."""
+    half = 0.5 * a
+    eye = np.eye(a.shape[-1])
+    return np.linalg.solve(eye - half, eye + half)
+
+
 def _dagger(a):
     return np.conj(np.swapaxes(a, -1, -2))
 
@@ -117,8 +132,13 @@ def _residual_sq(mats):
     return np.sum(np.abs(diff) ** 2, axis=(-2, -1))
 
 
-def _descent(rep, ds, restarts, seed, iters, stop_below):
-    """Batched gradient descent; returns (values, unitaries) sorted best first."""
+def _descent(rep, ds, restarts, seed, iters, stop_below, checkpoint):
+    """Batched gradient descent; returns (values, unitaries) sorted best first.
+
+    At iterations 0, 1, 2, 4, 8, ... the class matrices of the best restart
+    go to `checkpoint`, and the descent stops as soon as it returns True.
+    Each restart keeps its own step size and backtracks on its own, so its
+    path does not depend on the other restarts in the batch."""
     n, bigN = ds.shape
     children = np.random.SeedSequence(seed).spawn(restarts)
     inits = []
@@ -136,8 +156,11 @@ def _descent(rep, ds, restarts, seed, iters, stop_below):
     eta = np.full(restarts, 0.2)
     mats = _conjugate(us, ds)
     f = _residual_sq(mats)
-    for _ in range(iters):
-        if np.min(f) < stop_below:
+    for it in range(iters):
+        best = np.argmin(f)
+        if f[best] < stop_below:
+            break
+        if it & (it - 1) == 0 and checkpoint(mats[best]):
             break
         # prefix and suffix products around each factor
         pre = [np.broadcast_to(eye, mats[:, 0].shape)]
@@ -161,25 +184,23 @@ def _descent(rep, ds, restarts, seed, iters, stop_below):
             norm2 += np.sum(np.abs(g) ** 2, axis=(-2, -1))
         grad = np.stack(grads, axis=1)
 
-        # backtracking: halve the step until the Armijo bound holds
-        active = np.ones(restarts, dtype=bool)
-        new_us, new_f = us, f
+        # backtracking: halve the step until the Armijo bound holds, stepping
+        # again only the restarts whose last candidate was refused
+        live = np.arange(restarts)
         for _ in range(10):
-            if not np.any(active):
+            if not live.size:
                 break
-            step = _expm_skew(-eta[:, None, None, None] * grad)
-            cand_us = step @ us
-            cand_f = _residual_sq(_conjugate(cand_us, ds))
-            good = cand_f <= f - 1e-4 * eta * norm2
-            take = active & good
-            new_us = np.where(take[:, None, None, None], cand_us, new_us)
-            new_f = np.where(take, cand_f, new_f)
-            active = active & ~good
-            eta = np.where(active, eta / 2, eta)
-        us, f = new_us, np.minimum(new_f, f)
-        eta = np.where(~active, np.minimum(eta * 1.5, 2.0), eta)
-        mats = _conjugate(us, ds)
-        f = _residual_sq(mats)
+            cand_us = _cayley(-eta[live, None, None, None] * grad[live]) @ us[live]
+            cand_mats = _conjugate(cand_us, ds)
+            cand_f = _residual_sq(cand_mats)
+            good = cand_f <= f[live] - 1e-4 * eta[live] * norm2[live]
+            took = live[good]
+            us[took], mats[took], f[took] = cand_us[good], cand_mats[good], cand_f[good]
+            live = live[~good]
+            eta[live] /= 2
+        accepted = np.ones(restarts, dtype=bool)
+        accepted[live] = False
+        eta[accepted] = np.minimum(eta[accepted] * 1.5, 2.0)
 
     order = np.argsort(f)
     return f[order], us[order]
@@ -280,10 +301,17 @@ def numeric_membership(rep: GroupRep, points, tol=1e-8, restarts=200,
                        seed=0, iters=150, polish_cycles=60) -> OracleVerdict:
     """Search for unitaries U_k with prod_k U_k Exp(2 pi i mu_k) U_k^-1 = I.
 
-    Feasible iff some restart, after polish, reaches a residual below tol;
-    the reported residual is the best Frobenius distance found.  The whole
-    run is deterministic for a fixed (seed, restarts, iters) triple.
+    The descent steps along the Cayley map, which keeps every iterate in
+    the group.  At iterations 0, 1, 2, 4, 8, ... the best restart is
+    polished, and the search ends as soon as a polished candidate that
+    passes the witness checks lies below tol * 1e-2; a search that gets
+    there without one polishes its ten best restarts at the end.  Feasible
+    iff some candidate reaches a residual below tol; the reported residual
+    is the best Frobenius distance found.  The whole run is deterministic
+    for a fixed (seed, restarts, iters) triple.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     points = tuple(points)
     rs = rep.rs
     for k, p in enumerate(points):
@@ -302,19 +330,25 @@ def numeric_membership(rep: GroupRep, points, tol=1e-8, restarts=200,
         return OracleVerdict(residual < tol, residual)
 
     ds = np.array([[np.exp(2j * np.pi * float(e)) for e in row] for row in exact])
-    # descent only needs to land inside the polish basin
-    vals, us = _descent(rep, ds, restarts, seed, iters,
-                        stop_below=max((tol * 1e-2) ** 2, 1e-8))
+    best = np.inf
 
-    best = float(np.sqrt(vals[0]))
-    top = min(10, len(vals))
-    for r in range(top):
-        mats = _conjugate(us[r:r + 1], ds)[0]
+    def polish(mats):
+        # True once a checked witness lies far enough below tol to stop
+        nonlocal best
         residual, polished = _polish(rep, ds, list(mats), polish_cycles)
         if residual < best and _valid_witness(rep, polished, ds):
             best = residual
-        if best < tol * 1e-2:
-            break
+        return best < tol * 1e-2
+
+    # descent only needs to land inside the polish basin
+    vals, us = _descent(rep, ds, restarts, seed, iters,
+                        stop_below=max((tol * 1e-2) ** 2, 1e-8),
+                        checkpoint=polish)
+    if best >= tol * 1e-2:      # no checkpoint ended the search
+        best = min(best, float(np.sqrt(vals[0])))
+        for r in range(min(10, len(vals))):
+            if polish(_conjugate(us[r:r + 1], ds)[0]):
+                break
     return OracleVerdict(best < tol, best)
 
 

@@ -4,9 +4,10 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from multcone import eigencone
+from multcone import eigencone, unitary_oracle
 from multcone.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -267,6 +268,22 @@ def test_oracle_compare_input_errors(run, tmp_path):
     code, _, err = run("oracle-compare", "--type", "B2", "-n", "3",
                        "--point", three)
     assert code == 2 and err == "error: no unitary model wired for B2\n"
+
+
+def test_oracle_compare_refuses_unchecked_polish(run, tmp_path, monkeypatch):
+    # a polish that claims residual 0 with non-unitary factors must not
+    # end the search or certify an outside tuple
+    def fake_polish(rep, ds, mats, cycles):
+        return 0.0, [2 * np.eye(rep.dim)] * len(mats)
+    monkeypatch.setattr(unitary_oracle, "_polish", fake_polish)
+    path = points_file(tmp_path, [["3/4", "0"], ["3/4", "0"], ["0", "3/4"]])
+    code, out, _ = run("oracle-compare", "--type", "A2", "-n", "3",
+                       "--point", path, "--restarts", "10",
+                       "--format", "json")
+    obj = json.loads(out)
+    assert code == 0 and obj["false_feasible"] == 0
+    assert obj["rows"][0]["exact"] == "outside"
+    assert not obj["rows"][0]["feasible"]
 
 
 def test_points_schema_accepts_point_files(tmp_path):

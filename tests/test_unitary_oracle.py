@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multcone import eigencone as ec
 from multcone import unitary_oracle as uo
@@ -111,6 +112,70 @@ def test_numeric_rejects_points_off_the_alcove():
     rep = uo.group_rep("SU2")
     with pytest.raises(ValueError, match="point 2 is not in the fundamental"):
         uo.numeric_membership(rep, [cp(0), cp(2), cp(0)])
+
+
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_numeric_rejects_restarts_below_one(restarts):
+    rep = uo.group_rep("SU3")
+    with pytest.raises(ValueError,
+                       match=f"restarts must be at least 1, got {restarts}"):
+        uo.numeric_membership(rep, [cp("1/4", "1/4")] * 3, restarts=restarts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 4, "Sp4"]),
+       step=st.floats(0, 2))
+def test_cayley_step_stays_in_the_group(seed, dim, step):
+    rng = np.random.default_rng(seed)
+    big = 4 if dim == "Sp4" else dim
+    z = rng.standard_normal((5, big, big)) + 1j * rng.standard_normal((5, big, big))
+    a = 0.5 * (z - np.conj(np.swapaxes(z, -1, -2)))
+    if dim == "Sp4":
+        a = uo._sp_project(a)
+    r = uo._cayley(-step * a)
+    eye = np.eye(big)
+    for m in r:
+        assert np.linalg.norm(np.conj(m.T) @ m - eye) <= 1e-12
+        if dim == "Sp4":
+            assert np.linalg.norm(m.T @ uo._J4 @ m - uo._J4) <= 1e-12
+
+
+def _outside_su3():
+    rep = uo.group_rep("SU3")
+    pts = [cp("3/4", "0"), cp("3/4", "0"), cp("0", "3/4")]
+    ds = np.array([[np.exp(2j * np.pi * float(e))
+                    for e in uo.phases_exact(rep, p)] for p in pts])
+    return rep, pts, ds
+
+
+def test_descent_restarts_do_not_interact():
+    # SeedSequence.spawn gives restarts=3 the first three starts of
+    # restarts=8; each must then follow the same path in either batch.
+    # The values meet at one minimum within 40 iterations, so restarts are
+    # paired by their unitaries, which stay apart.
+    rep, _, ds = _outside_su3()
+    vals3, us3 = uo._descent(rep, ds, 3, 5, 40, stop_below=0,
+                             checkpoint=lambda mats: False)
+    vals8, us8 = uo._descent(rep, ds, 8, 5, 40, stop_below=0,
+                             checkpoint=lambda mats: False)
+    for v, u in zip(vals3, us3):
+        j = np.argmin(np.abs(us8 - u).reshape(len(us8), -1).max(axis=1))
+        assert abs(vals8[j] - v) <= 1e-12 * v
+        assert np.abs(us8[j] - u).max() <= 1e-12
+
+
+def test_polish_checkpoints_keep_the_witness_check(monkeypatch):
+    calls = []
+
+    def fake_polish(rep, ds, mats, cycles):
+        calls.append(1)
+        return 0.0, [2 * np.eye(rep.dim)] * len(mats)
+    monkeypatch.setattr(uo, "_polish", fake_polish)
+    rep, pts, _ = _outside_su3()
+    v = uo.numeric_membership(rep, pts, restarts=10)
+    assert not v.feasible and v.residual > 0.5
+    # iterations 0, 1, 2, 4, ..., 128 of 150, then the ten best restarts
+    assert len(calls) == 9 + 10
 
 
 def test_su2_reference_validation():
