@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from . import eigencone
 from .deformed_ring import render_table
 from .eigencone import (generate_inequalities, inequality_to_obj, membership,
-                        irredundancy_check, distinctness_check,
-                        points_from_obj)
+                        compile_system, irredundancy_check,
+                        distinctness_check, points_from_obj)
 from .quantum_ring import build_structure_table
 from .root_system import build_root_system
 from .unitary_oracle import (numeric_membership, rep_for_root_system,
@@ -293,13 +293,13 @@ def cmd_oracle_compare(cfg: RunConfig):
         raise InputError(
             f"point file holds {len(points)} points, not a multiple of n={n}")
     _prewarm(cfg, rs)
-    ineqs = generate_inequalities(rs, n)
+    system = compile_system(rs, n, generate_inequalities(rs, n))
     tuples = [tuple(points[k:k + n]) for k in range(0, len(points), n)]
 
     rows, concordant, false_feasible = [], 0, 0
     for idx, tup in enumerate(tuples):
         try:
-            exact = membership(rs, n, tup, ineqs).status
+            exact = membership(rs, n, tup, system).status
             verdict = numeric_membership(rep, tup, tol=cfg.tol,
                                          restarts=cfg.restarts,
                                          seed=cfg.seed + idx)

@@ -30,7 +30,7 @@ from .deformed_ring import _specialized_tuple_coeff
 __all__ = [
     "Inequality", "Alcove", "alcove", "structure_table",
     "generate_inequalities", "baseline_inequalities",
-    "membership", "MembershipVerdict",
+    "membership", "MembershipVerdict", "CompiledSystem", "compile_system",
     "irredundancy_check", "IrredundancyReport", "Certificate",
     "check_certificate",
     "distinctness_check", "DistinctnessReport",
@@ -128,25 +128,47 @@ def _enumerate_system(rs, n, keep):
         ctx = table.ctx
         qdeg = table.q_degrees[0]
         omega = rs.fundamental_weight(ip)
+        codims = [ctx.codim(u) for u in ctx.wp]
         # one Weight object per class, shared by every inequality using it
-        moved = {u: u.act(omega) for u in ctx.wp}
-        # forced cap: total codimension is at most n*dim
-        cap = ((n - 1) * ctx.dim) // qdeg
-        for d in range(cap + 1):
-            need = ctx.dim + d * qdeg
-            for tup in itertools.product(ctx.wp, repeat=n):
-                if sum(ctx.codim(u) for u in tup) != need:
-                    continue
-                if not keep(table, tup, (d,)):
-                    continue
+        moved = [u.act(omega) for u in ctx.wp]
+        # the n-point coefficients are symmetric under S_n (acceptance
+        # criterion 10 checks this), so keep is asked once per multiset of
+        # classes and its verdict holds for every ordering; the total
+        # codimension dim + d * qdeg fixes the degree d
+        for ms in itertools.combinations_with_replacement(
+                range(len(ctx.wp)), n):
+            d, rest = divmod(sum(codims[k] for k in ms) - ctx.dim, qdeg)
+            if rest or d < 0 or not keep(
+                    table, tuple(ctx.wp[k] for k in ms), (d,)):
+                continue
+            for perm in _distinct_orderings(ms):
                 out.append(Inequality(
                     parabolic=ip,
-                    words=tuple(u.word for u in tup),
+                    words=tuple(ctx.wp[k].word for k in perm),
                     d=d,
-                    lhs_weights=tuple(moved[u] for u in tup),
+                    lhs_weights=tuple(moved[k] for k in perm),
                     rhs=d))
     out.sort(key=lambda q: q.key())
     return out
+
+
+def _distinct_orderings(ms):
+    """Every distinct ordering of the sorted tuple ms, in lexicographic
+    order (Knuth's algorithm L): each step costs O(len(ms)), so the work is
+    proportional to the output, not to len(ms)!."""
+    perm = list(ms)
+    while True:
+        yield tuple(perm)
+        i = len(perm) - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(perm) - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1:] = perm[:i:-1]
 
 
 def generate_inequalities(rs: RootSystem, n):
@@ -166,18 +188,25 @@ def baseline_inequalities(rs: RootSystem, n):
 # --- compiled system --------------------------------------------------------
 
 @dataclass(frozen=True)
-class _System:
+class CompiledSystem:
     """An inequality list compiled to integer rows over the n*rank alcove
     coordinates of an n-tuple: rows[i] = (coeffs, rhs) reads coeffs . x <=
-    rhs and is inequality i in simple-root coordinates times scales[i]."""
+    rhs and is inequalities[i] in simple-root coordinates times scales[i].
+    membership takes one in place of the list, so a caller checking many
+    tuples against one list compiles it once."""
     n: int
     rank: int
     theta: tuple
     rows: tuple
     scales: tuple
+    inequalities: tuple
+
+    def __len__(self):
+        return len(self.inequalities)
 
 
-def _compile(rs: RootSystem, n, inequalities) -> _System:
+def compile_system(rs: RootSystem, n, inequalities) -> CompiledSystem:
+    inequalities = tuple(inequalities)
     # each distinct weight u.omega_P goes through the inverse Cartan matrix once
     coords = {}
     rows, scales = [], []
@@ -190,8 +219,8 @@ def _compile(rs: RootSystem, n, inequalities) -> _System:
         flat = tuple(c * (scale // den) for ints, den in blocks for c in ints)
         rows.append((flat, q.rhs * scale))
         scales.append(scale)
-    return _System(n, rs.rank, tuple(rs.highest_root), tuple(rows),
-                   tuple(scales))
+    return CompiledSystem(n, rs.rank, tuple(rs.highest_root), tuple(rows),
+                          tuple(scales), inequalities)
 
 
 def _integral(values):
@@ -211,7 +240,8 @@ class MembershipVerdict:
 
 def membership(rs: RootSystem, n, points, inequalities) -> MembershipVerdict:
     """Exact verdict for an n-tuple of alcove points against a list of
-    inequalities; every point must lie in the closed alcove."""
+    inequalities, or the CompiledSystem of one; every point must lie in the
+    closed alcove."""
     points = tuple(points)
     if len(points) != n:
         raise ValueError(f"expected {n} points, got {len(points)}")
@@ -221,11 +251,16 @@ def membership(rs: RootSystem, n, points, inequalities) -> MembershipVerdict:
                              f"expected {rs.rank}")
         if not rs.in_alcove(p):
             raise ValueError(f"point {k + 1} is not in the fundamental alcove")
-    inequalities = list(inequalities)
-    system = _compile(rs, n, inequalities)
+    if isinstance(inequalities, CompiledSystem):
+        system = inequalities
+        if (system.n, system.rank) != (n, rs.rank):
+            raise ValueError(f"system compiled for n={system.n}, rank "
+                             f"{system.rank}; expected n={n}, rank {rs.rank}")
+    else:
+        system = compile_system(rs, n, inequalities)
     x, den = _integral([m for p in points for m in p.coords])
     violated, tight = [], []
-    for q, (coeffs, rhs) in zip(inequalities, system.rows):
+    for q, (coeffs, rhs) in zip(system.inequalities, system.rows):
         # the slack times scale * den, so it keeps the slack's sign
         s = rhs * den - sum(map(mul, coeffs, x))
         if s < 0:
@@ -495,8 +530,8 @@ def irredundancy_check(rs: RootSystem, n, inequalities, workers=None) -> Irredun
         warnings.warn("with fewer than three factors the region can have "
                       "empty interior; irredundancy certificates are then "
                       "meaningless", stacklevel=2)
-    inequalities = list(inequalities)
-    system = _compile(rs, n, inequalities)
+    system = compile_system(rs, n, inequalities)
+    inequalities = system.inequalities
     orbits = _orbits(system)
     reps = [rep for rep, _ in orbits]
     if workers and workers > 1:

@@ -32,6 +32,20 @@ class WeylElement:
     matrix: tuple
     word: tuple
 
+    # elements key every table of the quantum layer, so the matrix is
+    # hashed once per object, not on every lookup
+    _hash = None
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.matrix, self.word))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return (WeylElement, (self.matrix, self.word))
+
     @property
     def length(self):
         return len(self.word)
@@ -212,6 +226,13 @@ class ParabolicContext:
         self.w_o = self.group.longest
         self.w_o_p = self._levi_longest()
 
+        g = self.group
+        self._dual = {}
+        for w in self.wp:
+            out = g.mult(g.mult(self.w_o, w), self.w_o_p)
+            assert out in self.wp_index, "duality left the representative set"
+            self._dual[w] = out
+
         self._chi = {}
         for w in self.wp:
             self._chi[w] = self._chi_both_ways(w)
@@ -279,9 +300,11 @@ class ParabolicContext:
     def dual(self, w) -> WeylElement:
         """The involution w -> w_o w w_o^P of the representative set; swaps
         length and codimension."""
-        out = self.group.mult(self.group.mult(self.w_o, w), self.w_o_p)
-        assert out in self.wp_index, "duality left the representative set"
-        return out
+        try:
+            return self._dual[w]
+        except KeyError:
+            raise ValueError(
+                f"{w} is not a minimal coset representative here") from None
 
     def min_rep(self, v) -> WeylElement:
         """Minimal representative of the coset v W_P (strip right descents in Delta_P)."""

@@ -7,8 +7,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from multcone import eigencone, unitary_oracle
+from multcone import cli, eigencone, unitary_oracle
 from multcone.cli import main
+from multcone.eigencone import compile_system
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -236,12 +237,20 @@ def test_verify_exits_1_when_a_certificate_fails_its_check(run, monkeypatch):
     assert all(ln.endswith(" :: uncertified") for ln in lines[1:])
 
 
-def test_oracle_compare_text(run, tmp_path):
+def test_oracle_compare_text(run, tmp_path, monkeypatch):
+    # the inequality list is compiled once per invocation, not per tuple
+    compiled = []
+
+    def counting_compile(*args):
+        compiled.append(args)
+        return compile_system(*args)
+    monkeypatch.setattr(cli, "compile_system", counting_compile)
+    monkeypatch.setattr(eigencone, "compile_system", counting_compile)
     path = points_file(
         tmp_path, [["1/2"], ["1/2"], ["1/2"], ["1"], ["1"], ["1"]])
     code, out, _ = run("oracle-compare", "--type", "A1", "-n", "3",
                        "--point", path, "--restarts", "30")
-    assert code == 0
+    assert code == 0 and len(compiled) == 1
     lines = out.splitlines()
     assert lines[-1] == "2/2 concordant, 0 false-feasible"
     assert lines[0].startswith("#1: exact=inside numeric=feasible")

@@ -1,10 +1,14 @@
 import dataclasses
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from multcone import eigencone as ec
+from multcone.deformed_ring import deformed_coeff_tuple
+from multcone.quantum_ring import gw_invariant
 from multcone.root_system import CartanPoint, Weight, build_root_system
 
 A1 = build_root_system("A", 1)
@@ -107,7 +111,7 @@ def test_irredundancy_workers_match(a1_n3):
 
 
 def _one_lp_per_inequality(rs, n, qs):
-    system = ec._compile(rs, n, qs)
+    system = ec.compile_system(rs, n, qs)
     return [ec._certify_row(system, j)[:3] for j in range(len(qs))]
 
 
@@ -119,7 +123,7 @@ def _verdicts(report):
 def test_orbit_reduction_matches_one_lp_per_inequality(t, r, n, orbits):
     rs = build_root_system(t, r)
     qs = ec.generate_inequalities(rs, n)
-    system = ec._compile(rs, n, qs)
+    system = ec.compile_system(rs, n, qs)
     assert len(ec._orbits(system)) == orbits
     report = ec.irredundancy_check(rs, n, qs)
     assert _verdicts(report) == _one_lp_per_inequality(rs, n, qs)
@@ -133,7 +137,7 @@ def _signs(q):
 
 def test_irredundancy_with_duplicate_row(a1_n3):
     qs = list(a1_n3) + [a1_n3[0]]
-    system = ec._compile(A1, 3, qs)
+    system = ec.compile_system(A1, 3, qs)
     # the copy breaks the symmetry of the row multiset down to the
     # permutations that fix the copied row, and shares its orbit
     assert ec._block_symmetries(system) == [(0, 1, 2), (0, 2, 1)]
@@ -151,7 +155,7 @@ def test_irredundancy_on_a_list_that_is_not_invariant(a1_n3):
     # dropping the row with the plus sign on the first factor leaves only
     # the swap of the last two factors as a symmetry
     qs = [q for q in a1_n3 if _signs(q) != (1, -1, -1)]
-    system = ec._compile(A1, 3, qs)
+    system = ec.compile_system(A1, 3, qs)
     assert ec._block_symmetries(system) == [(0, 1, 2), (0, 2, 1)]
     assert len(ec._orbits(system)) == 2
     report = ec.irredundancy_check(A1, 3, qs)
@@ -200,6 +204,51 @@ def test_baseline_superset():
     b2_base = {key(q) for q in ec.baseline_inequalities(B2, 3)}
     b2_def = {key(q) for q in ec.generate_inequalities(B2, 3)}
     assert b2_def < b2_base
+
+
+def _ordered_tuple_reference(rs, n, coeff):
+    """The enumeration without the S_n symmetry: every ordered n-tuple of
+    classes at every degree, kept when coeff(table, tuple, degree) is 1."""
+    out = []
+    for ip in range(1, rs.rank + 1):
+        table = ec.structure_table(rs, ip)
+        ctx = table.ctx
+        qdeg = table.q_degrees[0]
+        omega = rs.fundamental_weight(ip)
+        for d in range((n - 1) * ctx.dim // qdeg + 1):
+            for tup in itertools.product(ctx.wp, repeat=n):
+                if (sum(ctx.codim(u) for u in tup) == ctx.dim + d * qdeg
+                        and coeff(table, tup, (d,)) == 1):
+                    out.append(ec.Inequality(
+                        ip, tuple(u.word for u in tup), d,
+                        tuple(u.act(omega) for u in tup), d))
+    out.sort(key=lambda q: q.key())
+    return out
+
+
+@pytest.mark.parametrize("t, r, n", [
+    ("B", 2, 3), ("G", 2, 3), ("A", 2, 3), ("C", 2, 3), ("A", 2, 4),
+    ("A", 2, 5), ("A", 3, 3), ("A", 3, 4), ("B", 3, 3), ("C", 3, 3),
+    ("A", 1, 9)])
+def test_generation_matches_ordered_tuple_reference(t, r, n):
+    rs = build_root_system(t, r)
+    assert ec.generate_inequalities(rs, n) == _ordered_tuple_reference(
+        rs, n, deformed_coeff_tuple)
+    assert ec.baseline_inequalities(rs, n) == _ordered_tuple_reference(
+        rs, n, gw_invariant)
+    # at A1 n=9, expanding each multiset through all n! orderings takes
+    # seconds; its distinct orderings take milliseconds
+    t0 = time.monotonic()
+    ec.generate_inequalities(rs, n)
+    assert time.monotonic() - t0 < 0.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(ms=st.lists(st.integers(0, 3), min_size=1, max_size=6))
+def test_distinct_orderings(ms):
+    ms = tuple(sorted(ms))
+    out = list(ec._distinct_orderings(ms))
+    assert out == sorted(set(itertools.permutations(ms)))
 
 
 def test_structure_table_cached():

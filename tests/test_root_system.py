@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from multcone.root_system import (CartanPoint, Weight, build_root_system,
                                   kappa, kappa_inv, killing_form)
+from multcone.weyl import WeylGroup, minimal_reps
 
 F = Fraction
 
@@ -182,3 +184,44 @@ def test_inverse_cartan(t, r):
                            for k in range(r)) for j in range(r))
                  for i in range(r))
     assert prod == ident
+
+
+@pytest.mark.parametrize("t,r", sorted(POS_ROOT_COUNTS))
+def test_weyl_elements_hash_by_value(t, r):
+    # two groups built independently, bypassing get_weyl_group's cache
+    rs = build_root_system(t, r)
+    first, second = WeylGroup(rs), WeylGroup(rs)
+    index = {e: k for k, e in enumerate(first.elements)}
+    for k, e in enumerate(second.elements):
+        assert e is not first.elements[k]
+        assert e == first.elements[k] and hash(e) == hash(first.elements[k])
+        assert index[e] == k
+
+
+@pytest.mark.parametrize("t,r", sorted(POS_ROOT_COUNTS))
+def test_weight_pickle_keeps_hash_and_equality(t, r):
+    rs = build_root_system(t, r)
+    weights = [rs.rho, rs.weight_from_root_coords(rs.highest_root),
+               F(1, 3) * rs.fundamental_weight(r)]
+    for w in weights:
+        table = {w: True}   # fills the cached hash before pickling
+        back = pickle.loads(pickle.dumps(w))
+        fresh = Weight(tuple(w.coords))
+        assert back == w and hash(back) == hash(w) == hash(fresh)
+        assert table[back] and table[fresh]
+
+
+@pytest.mark.parametrize("t,r", sorted(POS_ROOT_COUNTS))
+def test_duality_swaps_length_and_codimension(t, r):
+    rs = build_root_system(t, r)
+    for ip in range(1, r + 1):
+        ctx = minimal_reps(rs, {ip})
+        for w in ctx.wp:
+            v = ctx.dual(w)
+            assert v in ctx.wp_index and ctx.dual(v) == w
+            assert v.length == ctx.codim(w) and ctx.codim(v) == w.length
+        # a representative set short of the whole group leaves an element out
+        outside = [e for e in ctx.group.elements if e not in ctx.wp_index]
+        for e in outside[:1]:
+            with pytest.raises(ValueError, match="not a minimal coset"):
+                ctx.dual(e)
