@@ -7,21 +7,21 @@ Quantum parameters carry one exponent per index in S_P (sorted order);
 a product is a dict mapping (basis element, exponent tuple) to an integer.
 
 Products by the codimension-one classes tau[s_i] are given in closed form by
-the quantum Chevalley rule.  The rest of the table is forced from those:
+the quantum Chevalley rule; its classical part is cross-checked against
+the classical constants.  The rest of the table comes in two steps:
 
-  * classical constants: the classical Chevalley rule determines the full
-    flag variety G/B level by level (its cohomology is generated by divisor
-    classes), one exact solve per level with every second factor carried
-    in a single right-hand side, and the products of G/P restrict from G/B
-    along the ring injection that matches Schubert classes of equal
-    codimension;
+  * classical constants: localized on W^P alone.  Billey's formula gives
+    each equivariant class tau[u] at each fixed point w at the point where
+    every simple root is 1, and the triangular Kostant-Kumar recursion
+    over w in increasing length turns those values into structure
+    constants, keeping the terms of degree l(u) + l(v);
   * quantum constants: solved one exponent vector at a time, in increasing
     total degree, from the linear relations obtained by expanding both sides
     of tau[s_i] * (tau[b] * tau[c]) = (tau[s_i] * tau[b]) * tau[c] and
     extracting one q-power coefficient, all lower degrees being known.
 
-Either linear system can in principle be rank-deficient on spaces outside
-the supported range; that raises an error naming the offending level or
+The quantum linear system can in principle be rank-deficient on spaces
+outside the supported range; that raises an error naming the offending
 degree instead of guessing.  Every built table is re-verified: grading,
 commutativity, integrality, nonnegativity, unit, and (on small spaces)
 exhaustive associativity.
@@ -30,11 +30,11 @@ exhaustive associativity.
 import itertools
 
 from .exact import as_int, poly_add, poly_mul, solve
-from .weyl import ParabolicContext, minimal_reps
+from .weyl import ParabolicContext
 
 __all__ = [
     "chevalley_operator", "build_structure_table", "QuantumTable",
-    "classical_flag_table", "gw_invariant",
+    "gw_invariant",
 ]
 
 
@@ -82,84 +82,73 @@ def chevalley_operator(ctx: ParabolicContext, i):
     return out
 
 
-def _full_flag_context(rs):
-    return minimal_reps(rs, set(range(1, rs.rank + 1)))
+def _restrictions(ctx):
+    """xi[w][u] = xi^u(w) for u, w in W^P: the localization of the
+    equivariant Schubert class tau[u] at the fixed point w, evaluated at
+    the point t with alpha_i(t) = 1 for every simple root.
 
-
-def _classical_operator(ctx, i):
-    """Classical part of the Chevalley operator: {w: {w2: coeff}}."""
-    out = {}
-    for w, terms in chevalley_operator(ctx, i).items():
-        out[w] = {w2: c for (w2, d), c in terms.items() if not any(d)}
-    return out
-
-
-_FLAG_TABLES = {}
-
-
-def classical_flag_table(rs):
-    """Classical cup-product constants of the full flag variety, in the
-    length-graded basis: dict (u, v) -> {w: coeff} over the whole Weyl group.
+    Billey's formula sums, over the reduced subwords of a reduced word of
+    w whose product is u, the product of the roots beta_j = s_{i_1} ...
+    s_{i_{j-1}} alpha_{i_j} at the chosen letters; at t each beta_j is its
+    height.  The subwords are built right to left, so every partial
+    product is a suffix of u and stays in W^P.  Only nonzero values are
+    kept.
     """
-    key = (rs.type_label, rs.rank)
-    if key in _FLAG_TABLES:
-        return _FLAG_TABLES[key]
-    fctx = _full_flag_context(rs)
-    ops = {i: _classical_operator(fctx, i) for i in range(1, rs.rank + 1)}
-    levels = {}
-    for w in fctx.wp:
-        levels.setdefault(w.length, []).append(w)
-
-    # tau[s_i] * (tau[v] * tau[x]) = (tau[s_i] * tau[v]) * tau[x]: the
-    # coefficient matrix of a level does not depend on x, so every column x
-    # rides along as part of one right-hand side keyed by (x, y)
-    table = {}
-    for x in fctx.wp:
-        table[(fctx.group.identity, x)] = {x: 1}
-        for i in range(1, rs.rank + 1):
-            table[(fctx.group.simple(i), x)] = dict(ops[i][x])
-    for k in range(2, max(levels) + 1):
-        unknowns = levels[k]
-        idx = {w: n for n, w in enumerate(unknowns)}
-        rows = []
-        for i in range(1, rs.rank + 1):
-            for v in levels[k - 1]:
-                coeffs = {idx[w]: c for w, c in ops[i][v].items()}
-                rhs = {}
-                for x in fctx.wp:
-                    for y, c in table[(v, x)].items():
-                        for y2, c2 in ops[i][y].items():
-                            rhs[(x, y2)] = rhs.get((x, y2), 0) + c * c2
-                rows.append((coeffs, rhs))
-        sols = solve(
-            rows, len(unknowns),
-            lambda k=k: f"cup products of the {rs.type_label}{rs.rank} flag "
-                        f"variety are underdetermined at level {k}")
-        for w, rhs in zip(unknowns, sols):
-            for x in fctx.wp:
-                table[(w, x)] = {}
-            for (x, y), c in rhs.items():
-                table[(w, x)][y] = as_int(c)
-    for (u, x), poly in table.items():
-        assert table[(x, u)] == poly, (str(u), str(x))
-        for w, c in poly.items():
-            assert w.length == u.length + x.length and c > 0, (str(u), str(x))
-    _FLAG_TABLES[key] = table
-    return table
+    g, rs = ctx.group, ctx.rs
+    n = rs.rank
+    alpha_fund = [tuple(rs.cartan[a][k] for a in range(n)) for k in range(n)]
+    xi = {}
+    for w in ctx.wp:
+        heights = []
+        prefix = g.identity
+        for i in w.word:
+            sign, root = g.roots_fund[prefix.act_fund(alpha_fund[i - 1])]
+            assert sign > 0, ("word is not reduced", str(w))
+            heights.append(sum(root))
+            prefix = g.mult_simple(prefix, i)
+        assert prefix == w, str(w)
+        vals = {g.identity: 1}
+        for i, h in zip(reversed(w.word), reversed(heights)):
+            si = g.simple(i)
+            for x, val in list(vals.items()):
+                y = g.mult(si, x)
+                if y.length > x.length and y in ctx.wp_index:
+                    vals[y] = vals.get(y, 0) + val * h
+        xi[w] = vals
+    return xi
 
 
 def _classical_sub_table(ctx):
-    """Classical constants of G/P: restriction of the flag-variety table to
-    minimal representatives.  Components outside the representative set must
-    vanish; that is asserted, not assumed.
+    """Classical constants of G/P in the length-graded basis: dict
+    (u, v) -> {w: coeff} over minimal representatives, by the Kostant-Kumar
+    recursion on localizations,
+
+        c^w = (xi^u(w) xi^v(w) - sum_{y < w} c^y xi^y(w)) / xi^w(w),
+
+    over w in increasing length.  At t the c^w are the equivariant
+    constants evaluated at a point where every simple root is 1, so each
+    division is exact and each c^w is nonnegative (Graham positivity);
+    both are asserted, as is c^w = 0 above the degree l(u) + l(v).  The
+    terms of that degree are the classical constants.
     """
-    flag = classical_flag_table(ctx.rs)
+    xi = _restrictions(ctx)
     sub = {}
-    for u in ctx.wp:
-        for v in ctx.wp:
-            poly = flag[(u, v)]
-            assert all(w in ctx.wp_index for w in poly), (str(u), str(v))
-            sub[(u, v)] = dict(poly)
+    for a, u in enumerate(ctx.wp):
+        for v in ctx.wp[a:]:
+            top = u.length + v.length
+            equiv = {}
+            for w in ctx.wp:
+                xw = xi[w]
+                num = xw.get(u, 0) * xw.get(v, 0) - sum(
+                    c * xw.get(y, 0) for y, c in equiv.items())
+                c, rem = divmod(num, xw[w])
+                assert rem == 0 and c >= 0, (str(u), str(v), str(w), num)
+                if c:
+                    assert w.length <= top, (str(u), str(v), str(w))
+                    equiv[w] = c
+            poly = {w: c for w, c in equiv.items() if w.length == top}
+            sub[(u, v)] = poly
+            sub[(v, u)] = dict(poly)
     return sub
 
 
@@ -364,7 +353,7 @@ class QuantumTable:
                 got = w.length + sum(a * b for a, b in zip(d, self.q_degrees))
                 assert got == want, ((str(u), str(x)), (str(w), d), c)
                 assert c > 0, ((str(u), str(x)), (str(w), d), c)
-        if len(ctx.wp) <= 12:
+        if len(ctx.wp) <= 32:
             for u, v, w in itertools.product(ctx.wp, repeat=3):
                 lhs = self.multiply_tau_poly(self.tau[(u, v)], w)
                 rhs = self.multiply_tau_poly(self.tau[(v, w)], u)

@@ -60,6 +60,12 @@ def test_tables_matches_fixture(run):
     assert _normalize(out) == _normalize((FIXTURES / "b2p2.txt").read_text())
 
 
+def test_tables_f4_p1(run):
+    code, out, _ = run("tables", "--type", "F4", "--parabolic", "1")
+    assert code == 0
+    assert "# s23:" in out and "# s24:" not in out
+
+
 def test_tables_json_schema(run):
     code, out, _ = run("tables", "--type", "G2", "--parabolic", "1",
                        "--format", "json")

@@ -1,9 +1,14 @@
+import functools
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
-from multcone.quantum_ring import (build_structure_table, chevalley_operator,
-                                   classical_flag_table, gw_invariant)
+from multcone.exact import as_int, solve
+from multcone.quantum_ring import (_classical_sub_table, _restrictions,
+                                   build_structure_table, chevalley_operator,
+                                   gw_invariant)
 from multcone.root_system import build_root_system
 from multcone.weyl import minimal_reps
 
@@ -182,10 +187,10 @@ def test_tau_sigma_duality(quadric_table):
 
 
 def test_chevalley_against_classical_flag():
-    # degree-zero Chevalley terms must agree with the classical table
+    # degree-zero Chevalley terms must agree with the classical constants
     rs = build_root_system("B", 2)
     ctx = minimal_reps(rs, {1, 2})
-    classical = classical_flag_table(rs)
+    classical = _classical_sub_table(ctx)
     for i in (1, 2):
         op = chevalley_operator(ctx, i)
         si = ctx.group.simple(i)
@@ -216,3 +221,155 @@ def test_preset_tau_rebuild_matches(quadric_table):
                                     preset_tau=dict(quadric_table.tau))
     assert rebuilt.tau == quadric_table.tau
     assert rebuilt.sigma == quadric_table.sigma
+
+
+# --- classical constants: localization against an independent route ---------
+
+@functools.lru_cache(maxsize=None)
+def _flag_table_reference(t, r):
+    """Classical constants of the full flag variety G/B, solved level by
+    level from the classical Chevalley rule: tau[s_i] * (tau[v] * tau[x]) =
+    (tau[s_i] * tau[v]) * tau[x], every x carried in one right-hand side.
+    H^*(G/B) is generated by divisors, so each level is determined."""
+    rs = build_root_system(t, r)
+    fctx = minimal_reps(rs, range(1, r + 1))
+    ops = {i: {w: {w2: c for (w2, d), c in terms.items() if not any(d)}
+               for w, terms in chevalley_operator(fctx, i).items()}
+           for i in range(1, r + 1)}
+    table = {}
+    for x in fctx.wp:
+        table[(fctx.group.identity, x)] = {x: 1}
+        for i in ops:
+            table[(fctx.group.simple(i), x)] = ops[i][x]
+    for k in range(2, fctx.dim + 1):
+        unknowns = fctx.by_length(k)
+        idx = {w: n for n, w in enumerate(unknowns)}
+        rows = []
+        for i in ops:
+            for v in fctx.by_length(k - 1):
+                rhs = {}
+                for x in fctx.wp:
+                    for y, c in table[(v, x)].items():
+                        for y2, c2 in ops[i][y].items():
+                            rhs[(x, y2)] = rhs.get((x, y2), 0) + c * c2
+                rows.append(({idx[w]: c for w, c in ops[i][v].items()}, rhs))
+        sols = solve(rows, len(unknowns), lambda: f"level {k} underdetermined")
+        for w, sol in zip(unknowns, sols):
+            for x in fctx.wp:
+                table[(w, x)] = {}
+            for (x, y), c in sol.items():
+                table[(w, x)][y] = as_int(c)
+    return table
+
+
+def _restricted_reference(ctx):
+    """The flag-variety constants restricted to minimal representatives;
+    the restriction is a ring map, so nothing may land outside them."""
+    flag = _flag_table_reference(ctx.rs.type_label, ctx.rs.rank)
+    sub = {}
+    for u in ctx.wp:
+        for v in ctx.wp:
+            poly = {w: c for w, c in flag[(u, v)].items() if c}
+            assert all(w in ctx.wp_index for w in poly), (str(u), str(v))
+            sub[(u, v)] = poly
+    return sub
+
+
+REFERENCE_CASES = (
+    [(t, r, (ip,)) for t, r in [("B", 2), ("G", 2), ("A", 3), ("B", 3),
+                                ("C", 3), ("A", 4)]
+     for ip in range(1, r + 1)]
+    + [(t, r, tuple(range(1, r + 1)))
+       for t, r in [("B", 2), ("G", 2), ("A", 3)]])
+
+
+@pytest.mark.parametrize("t,r,s_p", REFERENCE_CASES, ids=[
+    f"{t}{r}-P{''.join(map(str, s_p))}" for t, r, s_p in REFERENCE_CASES])
+def test_localization_matches_flag_table(t, r, s_p):
+    ctx = minimal_reps(build_root_system(t, r), s_p)
+    assert _classical_sub_table(ctx) == _restricted_reference(ctx)
+
+
+# the types of test_root_system with rank at most 4
+LOCALIZATION_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                      ("C", 2), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]
+
+
+def _localization_contexts(t, r):
+    rs = build_root_system(t, r)
+    ctxs = [minimal_reps(rs, {ip}) for ip in range(1, r + 1)]
+    if t != "F":
+        # the Borel: W^P is all of W (F4's 1152 elements are left out)
+        ctxs.append(minimal_reps(rs, range(1, r + 1)))
+    return ctxs
+
+
+@pytest.mark.parametrize("t,r", LOCALIZATION_TYPES)
+def test_localization_values(t, r):
+    for ctx in _localization_contexts(t, r):
+        g = ctx.group
+        xi = _restrictions(ctx)
+        for w in ctx.wp:
+            # xi^e is the unit class
+            assert xi[w][g.identity] == 1, str(w)
+            # xi^w(w): the product of the heights of the positive roots
+            # that w^{-1} sends negative, so never zero
+            winv = g.inverse(w)
+            inversions = [beta for beta in ctx.rs.positive_roots
+                          if g.root_sign(winv, beta) < 0]
+            assert len(inversions) == w.length
+            assert xi[w][w] == math.prod(sum(beta) for beta in inversions)
+            # upper triangular: xi^u(w) = 0 unless u = w or l(u) < l(w)
+            for u, val in xi[w].items():
+                assert u in ctx.wp_index and val > 0
+                assert u == w or u.length < w.length, (str(u), str(w))
+
+
+def _degree_by_borel_hirzebruch(ctx, ip):
+    """deg G/P_i in the embedding of omega_i: dim! times the product over
+    positive roots of (omega_i, alpha^vee) / (rho, alpha^vee)."""
+    out = Fraction(math.factorial(ctx.dim))
+    for alpha in ctx.rs.positive_roots:
+        cov = ctx.rs.coroot(alpha)
+        if cov[ip - 1]:
+            out *= Fraction(cov[ip - 1]) / sum(cov)
+    return as_int(out)
+
+
+def _degree_from_constants(ctx, ip):
+    """The coefficient of the point class in tau[s_ip]^dim."""
+    classical = _classical_sub_table(ctx)
+    divisor = ctx.group.simple(ip)
+    poly = {divisor: 1}
+    for _ in range(ctx.dim - 1):
+        out = {}
+        for w, c in poly.items():
+            for w2, c2 in classical[(w, divisor)].items():
+                out[w2] = out.get(w2, 0) + c * c2
+        poly = out
+    (top, deg), = poly.items()
+    assert top.length == ctx.dim
+    return deg
+
+
+@pytest.mark.parametrize("t,r,ip", [("B", 3, 2), ("C", 3, 2), ("A", 4, 2),
+                                    ("D", 4, 2), ("F", 4, 1), ("F", 4, 4)])
+def test_classical_degree_matches_borel_hirzebruch(t, r, ip):
+    ctx = minimal_reps(build_root_system(t, r), {ip})
+    assert _degree_from_constants(ctx, ip) == _degree_by_borel_hirzebruch(ctx, ip)
+
+
+def test_f4_p4_is_a_hyperplane_section_of_the_cayley_plane():
+    # the Cayley plane E6/P1 has degree 78 in P^26, and F4/P4 is a smooth
+    # hyperplane section of it
+    ctx = minimal_reps(build_root_system("F", 4), {4})
+    assert ctx.dim == 15
+    assert _degree_from_constants(ctx, 4) == 78
+
+
+@pytest.mark.parametrize("ip", [1, 4])
+def test_f4_tables_build_and_verify(ip):
+    # the constructor runs _verify, exhaustive associativity included
+    table = build_structure_table(_ctx("F", 4, ip))
+    assert len(table.ctx.wp) == 24
+    assert any(any(d) for poly in table.tau.values() for (_, d) in poly)
