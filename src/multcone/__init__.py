@@ -8,8 +8,8 @@ from .weyl import (ParabolicContext, WeylElement, WeylGroup, chi,
 from .quantum_ring import QuantumTable, build_structure_table, gw_invariant
 from .deformed_ring import (DeformedElement, a_exponent, deformed_coeff_tuple,
                             deformed_product, is_levi_movable, render_table)
-from .eigencone import (Alcove, Certificate, DistinctnessReport, Inequality,
-                        IrredundancyReport, MembershipVerdict, alcove,
+from .eigencone import (Certificate, DistinctnessReport, Inequality,
+                        IrredundancyReport, MembershipVerdict,
                         baseline_inequalities, distinctness_check,
                         generate_inequalities, irredundancy_check, membership)
 from .unitary_oracle import (GroupRep, OracleVerdict, group_rep,
@@ -24,8 +24,8 @@ __all__ = [
     "QuantumTable", "build_structure_table", "gw_invariant",
     "DeformedElement", "a_exponent", "deformed_coeff_tuple",
     "deformed_product", "is_levi_movable", "render_table",
-    "Alcove", "Certificate", "DistinctnessReport", "Inequality",
-    "IrredundancyReport", "MembershipVerdict", "alcove",
+    "Certificate", "DistinctnessReport", "Inequality",
+    "IrredundancyReport", "MembershipVerdict",
     "baseline_inequalities", "distinctness_check", "generate_inequalities",
     "irredundancy_check", "membership",
     "GroupRep", "OracleVerdict", "group_rep", "numeric_membership",

@@ -15,7 +15,6 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from . import eigencone
 from .deformed_ring import render_table
@@ -33,22 +32,6 @@ FORMAT_VERSION = 1
 
 class InputError(Exception):
     """Bad invocation or input file; mapped to exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    type_label: str
-    rank: int
-    parabolic: int = None
-    n: int = None
-    point: str = None
-    fmt: str = "text"
-    seed: int = 0
-    restarts: int = 200
-    tol: float = 1e-8
-    workers: int = None
-    use_cache: bool = True
 
 
 # --- structure-table disk cache ---------------------------------------------
@@ -101,28 +84,27 @@ def _table_from_payload(payload, rs, ip):
 
 
 def load_table(rs, ip, use_cache=True):
-    """The structure table for the maximal parabolic dropping alpha_ip,
-    going through the on-disk cache when enabled.  The cache is purely an
-    optimization: a cache miss, a stale file, or --no-cache all produce
-    the same table by direct construction."""
-    key = (rs.type_label, rs.rank, int(ip))
-    path = _cache_path(*key)
-    if key in eigencone._TABLES:
-        table = eigencone._TABLES[key]
-        if use_cache and not os.path.exists(path):
-            _store_table(path, table)
-        return table
-    if use_cache:
+    """The structure table for the maximal parabolic dropping alpha_ip:
+    the in-process one if there is one, else the on-disk cache entry when
+    enabled, else a fresh build.  The cache is purely an optimization: a
+    missing or unreadable entry, or --no-cache, gives the same table by
+    direct construction.  With the cache on, an entry is written whenever
+    the file is missing and rewritten whenever reading it failed."""
+    ip = int(ip)
+    path = _cache_path(rs.type_label, rs.rank, ip)
+    table = eigencone._TABLES.get((rs.type_label, rs.rank, ip))
+    stored = use_cache and table is not None and os.path.exists(path)
+    if table is None and use_cache:
         try:
             with open(path) as fh:
-                table = _table_from_payload(json.load(fh), rs, int(ip))
-            return eigencone.register_table(table)
-        except FileNotFoundError:
-            pass
+                table = _table_from_payload(json.load(fh), rs, ip)
+            eigencone.register_table(table)
+            stored = True
         except Exception:
-            pass  # unreadable cache entries are rebuilt below
-    table = eigencone.structure_table(rs, int(ip))
-    if use_cache:
+            pass  # missing or unreadable: rebuilt below
+    if table is None:
+        table = eigencone.structure_table(rs, ip)
+    if use_cache and not stored:
         _store_table(path, table)
     return table
 
@@ -146,29 +128,29 @@ def _store_table(path, table):
 
 # --- shared helpers ---------------------------------------------------------
 
-def _root_system(cfg):
+def _root_system(args):
     try:
-        return build_root_system(cfg.type_label, cfg.rank)
+        return build_root_system(args.type, args.rank)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
-def _need(cfg, field, flag):
-    val = getattr(cfg, field)
+def _need(args, field, flag):
+    val = getattr(args, field)
     if val is None:
-        raise InputError(f"{cfg.command} requires {flag}")
+        raise InputError(f"{args.command} requires {flag}")
     return val
 
 
-def _factors(cfg):
-    n = _need(cfg, "n", "-n")
+def _factors(args):
+    n = _need(args, "n", "-n")
     if n < 2:
         raise InputError(f"-n must be at least 2, got {n}")
     return n
 
 
-def _read_points(cfg, rs):
-    path = _need(cfg, "point", "--point")
+def _read_points(args, rs):
+    path = _need(args, "point", "--point")
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -182,11 +164,11 @@ def _read_points(cfg, rs):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _prewarm(cfg, rs):
+def _prewarm(args, rs):
     # route every maximal parabolic through the disk cache before the
     # enumeration asks for it
     for ip in range(1, rs.rank + 1):
-        load_table(rs, ip, cfg.use_cache)
+        load_table(rs, ip, not args.no_cache)
 
 
 def _emit(text):
@@ -195,22 +177,22 @@ def _emit(text):
 
 # --- commands ---------------------------------------------------------------
 
-def cmd_tables(cfg: RunConfig):
-    rs = _root_system(cfg)
-    ip = _need(cfg, "parabolic", "--parabolic")
+def cmd_tables(args):
+    rs = _root_system(args)
+    ip = _need(args, "parabolic", "--parabolic")
     if not 1 <= ip <= rs.rank:
         raise InputError(f"no such node P{ip} for {rs.type_label}{rs.rank}")
-    table = load_table(rs, ip, cfg.use_cache)
-    _emit(render_table(table, cfg.fmt))
+    table = load_table(rs, ip, not args.no_cache)
+    _emit(render_table(table, args.format))
     return 0
 
 
-def cmd_inequalities(cfg: RunConfig):
-    rs = _root_system(cfg)
-    n = _factors(cfg)
-    _prewarm(cfg, rs)
+def cmd_inequalities(args):
+    rs = _root_system(args)
+    n = _factors(args)
+    _prewarm(args, rs)
     ineqs = generate_inequalities(rs, n)
-    if cfg.fmt == "json":
+    if args.format == "json":
         obj = {"type": rs.type_label, "rank": rs.rank, "n": n,
                "count": len(ineqs),
                "inequalities": [inequality_to_obj(rs, n, q) for q in ineqs]}
@@ -222,19 +204,19 @@ def cmd_inequalities(cfg: RunConfig):
     return 0
 
 
-def cmd_member(cfg: RunConfig):
-    rs = _root_system(cfg)
-    n = _factors(cfg)
-    points = _read_points(cfg, rs)
+def cmd_member(args):
+    rs = _root_system(args)
+    n = _factors(args)
+    points = _read_points(args, rs)
     if len(points) != n:
         raise InputError(f"point file holds {len(points)} points, expected {n}")
-    _prewarm(cfg, rs)
+    _prewarm(args, rs)
     ineqs = generate_inequalities(rs, n)
     try:
         verdict = membership(rs, n, points, ineqs)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if cfg.fmt == "json":
+    if args.format == "json":
         obj = {"status": verdict.status,
                "violated": [inequality_to_obj(rs, n, q) for q in verdict.violated],
                "tight": [inequality_to_obj(rs, n, q) for q in verdict.tight]}
@@ -247,16 +229,16 @@ def cmd_member(cfg: RunConfig):
     return 0
 
 
-def cmd_verify(cfg: RunConfig):
-    rs = _root_system(cfg)
-    n = _factors(cfg)
-    _prewarm(cfg, rs)
+def cmd_verify(args):
+    rs = _root_system(args)
+    n = _factors(args)
+    _prewarm(args, rs)
     ineqs = generate_inequalities(rs, n)
-    report = irredundancy_check(rs, n, ineqs, workers=cfg.workers)
+    report = irredundancy_check(rs, n, ineqs, workers=args.workers)
     distinct = distinctness_check(ineqs)
     good = sum(1 for c in report.certificates if c.certified)
     ok = report.all_certified and distinct.passed
-    if cfg.fmt == "json":
+    if args.format == "json":
         obj = {
             "irredundant": good, "total": len(ineqs),
             "duplicate_pairs": [list(p) for p in distinct.pairs],
@@ -277,22 +259,22 @@ def cmd_verify(cfg: RunConfig):
     return 0 if ok else 1
 
 
-def cmd_oracle_compare(cfg: RunConfig):
-    rs = _root_system(cfg)
-    n = _factors(cfg)
-    if cfg.restarts < 1:
-        raise InputError(f"--restarts must be at least 1, got {cfg.restarts}")
-    if not (math.isfinite(cfg.tol) and cfg.tol > 0):
-        raise InputError(f"--tol must be a positive finite number, got {cfg.tol}")
+def cmd_oracle_compare(args):
+    rs = _root_system(args)
+    n = _factors(args)
+    if args.restarts < 1:
+        raise InputError(f"--restarts must be at least 1, got {args.restarts}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise InputError(f"--tol must be a positive finite number, got {args.tol}")
     try:
         rep = rep_for_root_system(rs)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    points = _read_points(cfg, rs)
+    points = _read_points(args, rs)
     if not points or len(points) % n:
         raise InputError(
             f"point file holds {len(points)} points, not a multiple of n={n}")
-    _prewarm(cfg, rs)
+    _prewarm(args, rs)
     system = compile_system(rs, n, generate_inequalities(rs, n))
     tuples = [tuple(points[k:k + n]) for k in range(0, len(points), n)]
 
@@ -300,9 +282,9 @@ def cmd_oracle_compare(cfg: RunConfig):
     for idx, tup in enumerate(tuples):
         try:
             exact = membership(rs, n, tup, system).status
-            verdict = numeric_membership(rep, tup, tol=cfg.tol,
-                                         restarts=cfg.restarts,
-                                         seed=cfg.seed + idx)
+            verdict = numeric_membership(rep, tup, tol=args.tol,
+                                         restarts=args.restarts,
+                                         seed=args.seed + idx)
         except ValueError as exc:
             raise InputError(f"tuple {idx + 1}: {exc}") from exc
         row = {"exact": exact, "feasible": verdict.feasible,
@@ -317,7 +299,7 @@ def cmd_oracle_compare(cfg: RunConfig):
         if exact == "boundary" or (exact == "inside") == verdict.feasible:
             concordant += 1
 
-    if cfg.fmt == "json":
+    if args.format == "json":
         obj = {"group": rep.label, "n": n, "total": len(rows),
                "concordant": concordant, "false_feasible": false_feasible,
                "rows": rows}
@@ -392,20 +374,11 @@ def build_parser():
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    letter, rank = _parse_type(args.type, args.rank)
-    return RunConfig(command=args.command, type_label=letter, rank=rank,
-                     parabolic=args.parabolic, n=args.n, point=args.point,
-                     fmt=args.format, seed=args.seed, restarts=args.restarts,
-                     tol=args.tol, workers=args.workers,
-                     use_cache=not args.no_cache)
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        args.type, args.rank = _parse_type(args.type, args.rank)
+        return _COMMANDS[args.command](args)
     except (InputError, ValueError, RuntimeError) as exc:
         # a library refusal (say, an underdetermined quantum solve) is an
         # input the program cannot handle, not a failed check

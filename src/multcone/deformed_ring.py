@@ -7,18 +7,18 @@ deformation variable t_i to 1 recovers the quantum product; setting them
 all to 0 keeps only the exponent-free terms, which is the coefficient the
 inequality generator consumes.
 
-Exponents are computed by two independent formulas (a closed form through
-the dual Coxeter number and a sum over the positive roots outside the
-Levi); their agreement and integrality are asserted on every call.
+The degree part of an exponent is read off the context's S-matrix, whose
+two independent formulas (a closed form through the dual Coxeter number
+and a sum over the positive roots outside the Levi) are checked against
+each other once per context; integrality is asserted on every call.
 """
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from weakref import WeakKeyDictionary
 
 from .exact import as_int
-from .quantum_ring import QuantumTable, _tuple_coeff
+from .quantum_ring import QuantumTable, _tuple_coeff, _check_degree
 from .weyl import ParabolicContext, render_word
 
 __all__ = [
@@ -27,56 +27,22 @@ __all__ = [
 ]
 
 
-_SECOND_TERM = WeakKeyDictionary()
-
-
-def _second_term(ctx: ParabolicContext, d):
-    """The degree-dependent part of the exponent, per index in S_P.
-
-    Computed both as 2 a_i g* / <alpha_i, alpha_i> and as the sum of
-    alpha(x_i) alpha(d~) over the positive roots alpha outside the Levi,
-    d~ being the curve degree on the simple coroots; the two must agree.
-    """
-    cache = _SECOND_TERM.setdefault(ctx, {})
-    if d in cache:
-        return cache[d]
-    rs = ctx.rs
-    qs = sorted(ctx.s_p)
-    out = []
-    for pos, i in enumerate(qs):
-        unit = tuple(int(k == i - 1) for k in range(rs.rank))
-        norm = rs.form_on_root_coords(unit, unit)
-        closed = Fraction(2 * d[pos] * rs.dual_coxeter) / norm
-        by_roots = Fraction(0)
-        for r in ctx.outside_pos:
-            if r[i - 1]:
-                by_roots += Fraction(r[i - 1]) * sum(
-                    a * rs.root_pairing(r, j) for a, j in zip(d, qs))
-        assert closed == by_roots, (i, d, closed, by_roots)
-        out.append(closed)
-    cache[d] = tuple(out)
-    return cache[d]
-
-
 def a_exponent(ctx: ParabolicContext, u, v, w, d):
     """Deformation exponents of the (u, v, w) constant at curve degree d.
 
     Returns one nonnegative-or-not integer per index in sorted S_P; callers
     decide what to do with negative values (they never occur on terms with
-    a nonzero structure constant).
+    a nonzero structure constant).  The degree term of index i is
+    S[i][i] * d_i with S = s_matrix(ctx), whose closed form and sum over
+    the roots outside the Levi were checked once when the context was
+    built.
     """
-    d = tuple(int(a) for a in d)
-    qs = sorted(ctx.s_p)
-    if len(d) != len(qs):
-        raise ValueError(f"degree must have {len(qs)} components")
-    if any(a < 0 for a in d):
-        raise ValueError("degree components must be nonnegative")
+    d = _check_degree(ctx, d)
     rs = ctx.rs
     deficit = ctx.chi_e() - ctx.chi(u) - ctx.chi(v) - ctx.chi(w)
-    second = _second_term(ctx, d)
     out = []
-    for pos, i in enumerate(qs):
-        val = rs.weight_value(deficit, rs.x_point(i)) + second[pos]
+    for pos, i in enumerate(sorted(ctx.s_p)):
+        val = rs.weight_value(deficit, rs.x_point(i)) + ctx.s_matrix[pos][pos] * d[pos]
         out.append(as_int(val))
     return tuple(out)
 
@@ -164,14 +130,7 @@ def deformed_coeff_tuple(table: QuantumTable, classes, degree):
     classes = tuple(classes)
     if len(classes) < 3:
         raise ValueError("need at least three classes")
-    degree = tuple(int(a) for a in degree)
-    if len(degree) != len(table.q_index):
-        raise ValueError(f"degree must have {len(table.q_index)} components")
-    if any(a < 0 for a in degree):
-        raise ValueError("degree components must be nonnegative")
-    for u in classes:
-        if u not in table.ctx.wp_index:
-            raise ValueError(f"{u} is not a minimal representative here")
+    degree = _check_degree(table.ctx, degree, classes)
     return _specialized_tuple_coeff(table, classes, degree)
 
 

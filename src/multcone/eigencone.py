@@ -28,7 +28,7 @@ from .quantum_ring import build_structure_table, gw_invariant
 from .deformed_ring import _specialized_tuple_coeff
 
 __all__ = [
-    "Inequality", "Alcove", "alcove", "structure_table",
+    "Inequality", "structure_table",
     "generate_inequalities", "baseline_inequalities",
     "membership", "MembershipVerdict", "CompiledSystem", "compile_system",
     "irredundancy_check", "IrredundancyReport", "Certificate",
@@ -66,35 +66,6 @@ class Inequality:
         from .weyl import render_word
         tup = ", ".join(render_word(w) for w in self.words)
         return f"P{self.parabolic}; ({tup}); d={self.d}"
-
-
-@dataclass(frozen=True)
-class Alcove:
-    """The closed fundamental alcove as a list of <=-constraints on the
-    coordinates m_j: nonnegativity of each m_j and the highest-root bound.
-    """
-    rs: RootSystem
-    constraints: tuple  # ((coeffs, rhs), ...) meaning sum coeffs*m <= rhs
-
-    def barycenter(self):
-        theta = self.rs.highest_root
-        c = Fraction(1, 2 * sum(theta))
-        return CartanPoint(tuple(c for _ in range(self.rs.rank)))
-
-
-def alcove(rs: RootSystem) -> Alcove:
-    n = rs.rank
-    cons = []
-    for j in range(n):
-        cons.append((tuple(Fraction(-int(k == j)) for k in range(n)), Fraction(0)))
-    cons.append((tuple(Fraction(t) for t in rs.highest_root), Fraction(1)))
-    out = Alcove(rs, tuple(cons))
-    assert len(out.constraints) == n + 1
-    bary = out.barycenter()
-    for coeffs, rhs in out.constraints:
-        val = sum(a * m for a, m in zip(coeffs, bary.coords))
-        assert val < rhs, "barycenter must be strictly interior"
-    return out
 
 
 _TABLES = {}

@@ -38,9 +38,6 @@ __all__ = [
 ]
 
 
-_CHEV_CACHE = {}
-
-
 def chevalley_operator(ctx: ParabolicContext, i):
     """Expansion of tau[s_i] * tau[w] for every minimal representative w.
 
@@ -51,9 +48,6 @@ def chevalley_operator(ctx: ParabolicContext, i):
     """
     if i not in ctx.s_p:
         raise ValueError(f"index {i} is not in S_P = {sorted(ctx.s_p)}")
-    key = (ctx.rs.type_label, ctx.rs.rank, frozenset(ctx.s_p), i)
-    if key in _CHEV_CACHE:
-        return _CHEV_CACHE[key]
     rs, g = ctx.rs, ctx.group
     qs = sorted(ctx.s_p)
     zero = (0,) * len(qs)
@@ -78,7 +72,6 @@ def chevalley_operator(ctx: ParabolicContext, i):
             if wmin.length == w.length + 1 - degq:
                 poly_add(terms, {(wmin, d): coeff})
         out[w] = terms
-    _CHEV_CACHE[key] = out
     return out
 
 
@@ -160,7 +153,6 @@ class QuantumTable:
         self.q_index = tuple(sorted(ctx.s_p))
         self.q_degrees = tuple(ctx.q_degrees[j] for j in self.q_index)
         self.zero_d = (0,) * len(self.q_index)
-        self.chevalley = {i: chevalley_operator(ctx, i) for i in self.q_index}
         if preset_tau is None:
             self._build()
         else:
@@ -187,6 +179,8 @@ class QuantumTable:
 
     def _build(self):
         ctx = self.ctx
+        # only the solve reads the operators, so a restored table skips them
+        self.chevalley = {i: chevalley_operator(ctx, i) for i in self.q_index}
         classical = _classical_sub_table(ctx)
         # solved[d][(u, v)] = {y: coeff}, keys (u, v) normalized by wp order
         solved = {self.zero_d: {}}
@@ -373,14 +367,9 @@ class QuantumTable:
         """The three-point invariant <sigma_u, sigma_v, sigma_w> at degree d."""
         return self.sigma[(u, v)].get((self.ctx.dual(w), tuple(d)), 0)
 
-    def multiply_tau_poly(self, poly, u, cap=None):
+    def multiply_tau_poly(self, poly, u):
         """Multiply a {(w, d): coeff} combination of tau classes by tau[u]."""
-        return poly_mul(poly, self.tau, u, cap)
-
-    def multiply_sigma_poly(self, poly, u, cap=None):
-        """Multiply a {(w, d): coeff} combination of sigma classes by
-        sigma[u], dropping exponents beyond the componentwise bound cap."""
-        return poly_mul(poly, self.sigma, u, cap)
+        return poly_mul(poly, self.tau, u)
 
 
 def build_structure_table(ctx: ParabolicContext, preset_tau=None) -> QuantumTable:
@@ -394,16 +383,23 @@ def gw_invariant(table: QuantumTable, classes, degree):
     """
     if len(classes) < 2:
         raise ValueError("need at least two classes")
+    degree = _check_degree(table.ctx, degree, classes)
+    return _tuple_coeff(table, table.sigma, classes, degree)
+
+
+def _check_degree(ctx: ParabolicContext, degree, classes=()):
+    """The curve degree as a tuple of ints, one nonnegative entry per index
+    in S_P; every class given must be a minimal representative.  Raises
+    ValueError otherwise."""
     degree = tuple(int(a) for a in degree)
-    if len(degree) != len(table.q_index):
-        raise ValueError(f"degree must have {len(table.q_index)} components")
+    if len(degree) != len(ctx.s_p):
+        raise ValueError(f"degree must have {len(ctx.s_p)} components")
     if any(a < 0 for a in degree):
         raise ValueError("degree components must be nonnegative")
-    ctx = table.ctx
     for u in classes:
         if u not in ctx.wp_index:
             raise ValueError(f"{u} is not a minimal representative here")
-    return _tuple_coeff(table, table.sigma, classes, degree)
+    return degree
 
 
 def _tuple_coeff(table, products, classes, degree):

@@ -9,7 +9,6 @@ Cartan subalgebra in "simple-root value" coordinates m_j = alpha_j(mu).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .exact import solve
 
@@ -49,9 +48,6 @@ class Weight:
 
     def __neg__(self):
         return Weight(tuple(-a for a in self.coords))
-
-    def is_zero(self):
-        return all(a == 0 for a in self.coords)
 
 
 @dataclass(frozen=True)
@@ -181,14 +177,6 @@ class RootSystem:
         self.form_norm = tuple(self._raw_norm(a, self._d) for a in self.positive_roots)
 
         self.inverse_cartan = _invert(self.cartan)
-        # coweight matrix: column j of xmat = coordinates of x_j on the
-        # simple coroots; alpha_i(x_j) = delta_ij pins it as the inverse of
-        # M[i][k] = alpha_i(alpha_k^vee) = cartan[k][i]
-        m = [[self.cartan[k][i] for k in range(n)] for i in range(n)]
-        self._xmat = _invert(m)
-        self.n_j = tuple(lcm(*(col.denominator for col in
-                               (self._xmat[i][j] for i in range(n))))
-                         for j in range(n))
 
         self.rho = Weight(tuple(Fraction(1) for _ in range(n)))
         theta_cov = self.coroot(self.highest_root)

@@ -297,8 +297,13 @@ def _valid_witness(rep, mats, ds):
     return True
 
 
+# descent iterations per search and polish cycles per candidate
+ITERS = 150
+POLISH_CYCLES = 60
+
+
 def numeric_membership(rep: GroupRep, points, tol=1e-8, restarts=200,
-                       seed=0, iters=150, polish_cycles=60) -> OracleVerdict:
+                       seed=0) -> OracleVerdict:
     """Search for unitaries U_k with prod_k U_k Exp(2 pi i mu_k) U_k^-1 = I.
 
     The descent steps along the Cayley map, which keeps every iterate in
@@ -308,7 +313,8 @@ def numeric_membership(rep: GroupRep, points, tol=1e-8, restarts=200,
     there without one polishes its ten best restarts at the end.  Feasible
     iff some candidate reaches a residual below tol; the reported residual
     is the best Frobenius distance found.  The whole run is deterministic
-    for a fixed (seed, restarts, iters) triple.
+    for a fixed (seed, restarts) pair; every search runs at most ITERS
+    descent iterations and each polish POLISH_CYCLES cycles.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -335,13 +341,13 @@ def numeric_membership(rep: GroupRep, points, tol=1e-8, restarts=200,
     def polish(mats):
         # True once a checked witness lies far enough below tol to stop
         nonlocal best
-        residual, polished = _polish(rep, ds, list(mats), polish_cycles)
+        residual, polished = _polish(rep, ds, list(mats), POLISH_CYCLES)
         if residual < best and _valid_witness(rep, polished, ds):
             best = residual
         return best < tol * 1e-2
 
     # descent only needs to land inside the polish basin
-    vals, us = _descent(rep, ds, restarts, seed, iters,
+    vals, us = _descent(rep, ds, restarts, seed, ITERS,
                         stop_below=max((tol * 1e-2) ** 2, 1e-8),
                         checkpoint=polish)
     if best >= tol * 1e-2:      # no checkpoint ended the search

@@ -86,7 +86,7 @@ def _matmul(a, b):
 class WeylGroup:
     """The full Weyl group of a root system, enumerated once and indexed by matrix."""
 
-    def __init__(self, rs: RootSystem, bound=DEFAULT_GROUP_BOUND):
+    def __init__(self, rs: RootSystem):
         self.rs = rs
         n = rs.rank
         self.simple_matrices = _simple_matrices(rs)
@@ -117,9 +117,10 @@ class WeylGroup:
                         w2 = word + (k + 1,)
                         seen[m2] = w2
                         nxt.append((m2, w2))
-                        if len(seen) > bound:
+                        if len(seen) > DEFAULT_GROUP_BOUND:
                             raise RuntimeError(
-                                f"Weyl group larger than the configured bound {bound}")
+                                "Weyl group larger than the configured bound "
+                                f"{DEFAULT_GROUP_BOUND}")
             level = nxt
             ordered.extend(nxt)
 
@@ -169,16 +170,16 @@ class WeylGroup:
 _GROUPS = {}
 
 
-def get_weyl_group(rs: RootSystem, bound=DEFAULT_GROUP_BOUND) -> WeylGroup:
+def get_weyl_group(rs: RootSystem) -> WeylGroup:
     key = (rs.type_label, rs.rank)
     if key not in _GROUPS:
-        _GROUPS[key] = WeylGroup(rs, bound=bound)
+        _GROUPS[key] = WeylGroup(rs)
     return _GROUPS[key]
 
 
-def enumerate_weyl(rs: RootSystem, bound=DEFAULT_GROUP_BOUND):
+def enumerate_weyl(rs: RootSystem):
     """All Weyl group elements, sorted by (length, lex word)."""
-    return list(get_weyl_group(rs, bound=bound).elements)
+    return list(get_weyl_group(rs).elements)
 
 
 class ParabolicContext:
@@ -187,10 +188,10 @@ class ParabolicContext:
     Carries the minimal coset representatives of W/W_P sorted by
     (length, lex word), the dimension of the flag variety, the Levi half-sum
     rho_L, the longest elements of W and W_P, an eagerly built chi table,
-    and the degrees of the quantum parameters.
+    the degrees of the quantum parameters and the S-matrix (see s_matrix).
     """
 
-    def __init__(self, rs: RootSystem, s_p, bound=DEFAULT_GROUP_BOUND):
+    def __init__(self, rs: RootSystem, s_p):
         s_p = frozenset(int(i) for i in s_p)
         if not s_p:
             raise ValueError("S_P must be a nonempty set of simple-root indices "
@@ -200,7 +201,7 @@ class ParabolicContext:
         self.rs = rs
         self.s_p = s_p
         self.delta_p = tuple(i for i in range(1, rs.rank + 1) if i not in s_p)
-        self.group = get_weyl_group(rs, bound=bound)
+        self.group = get_weyl_group(rs)
 
         # Levi positive roots: support inside Delta_P
         self.levi_pos = tuple(r for r in rs.positive_roots
@@ -246,6 +247,28 @@ class ParabolicContext:
             deg = as_int(via_rho)
             assert deg > 0
             self.q_degrees[i] = deg
+
+        self.s_matrix = self._s_matrix()
+
+    def _s_matrix(self):
+        rs = self.rs
+        idx = sorted(self.s_p)
+        out = []
+        for i in idx:
+            row = []
+            for j in idx:
+                tot = Fraction(0)
+                for r in self.outside_pos:
+                    tot += Fraction(r[i - 1]) * rs.root_pairing(r, j)
+                val = as_int(tot)
+                assert val >= 0, (i, j, val)
+                unit = _unit(rs.rank, i - 1)
+                norm_i = rs.form_on_root_coords(unit, unit)
+                expect = Fraction(2 * rs.dual_coxeter) / norm_i if i == j else Fraction(0)
+                assert Fraction(val) == expect, (i, j, val, expect)
+                row.append(val)
+            out.append(tuple(row))
+        return tuple(out)
 
     def _levi_order(self):
         if not self.delta_p:
@@ -342,10 +365,10 @@ def _unit(n, k):
 _CONTEXTS = {}
 
 
-def minimal_reps(rs: RootSystem, s_p, bound=DEFAULT_GROUP_BOUND) -> ParabolicContext:
+def minimal_reps(rs: RootSystem, s_p) -> ParabolicContext:
     key = (rs.type_label, rs.rank, frozenset(int(i) for i in s_p))
     if key not in _CONTEXTS:
-        _CONTEXTS[key] = ParabolicContext(rs, s_p, bound=bound)
+        _CONTEXTS[key] = ParabolicContext(rs, s_p)
     return _CONTEXTS[key]
 
 
@@ -355,22 +378,9 @@ def chi(ctx: ParabolicContext, w: WeylElement) -> Weight:
 
 def s_matrix(ctx: ParabolicContext):
     """The integer matrix sum_{alpha outside the Levi} alpha(x_i) alpha(alpha_j^vee)
-    over i, j in S_P. Diagonal entries equal 2 g* / <alpha_i, alpha_i>; the
-    identity is asserted as a cross-check."""
-    rs = ctx.rs
-    idx = sorted(ctx.s_p)
-    out = []
-    for i in idx:
-        row = []
-        for j in idx:
-            tot = Fraction(0)
-            for r in ctx.outside_pos:
-                tot += Fraction(r[i - 1]) * rs.root_pairing(r, j)
-            val = as_int(tot)
-            assert val >= 0, (i, j, val)
-            norm_i = rs.form_on_root_coords(_unit(rs.rank, i - 1), _unit(rs.rank, i - 1))
-            expect = Fraction(2 * rs.dual_coxeter) / norm_i if i == j else Fraction(0)
-            assert Fraction(val) == expect, (i, j, val, expect)
-            row.append(val)
-        out.append(tuple(row))
-    return tuple(out)
+    over i, j in S_P, computed once per context.  Diagonal entries equal
+    2 g* / <alpha_i, alpha_i> and the others vanish; both are asserted when
+    the context is built.  Applied to a curve degree d it gives the degree
+    term of every deformation exponent, so that term is checked once per
+    context rather than once per degree."""
+    return ctx.s_matrix

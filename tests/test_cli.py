@@ -73,25 +73,55 @@ def test_tables_json_schema(run):
     check(out, "table.schema.json")
 
 
-def test_tables_cache_round_trip(run, isolated_cache):
+def count_restores(monkeypatch):
+    """Record every table restored from a disk cache entry."""
+    restored = []
+    real = cli._table_from_payload
+
+    def counting(*args):
+        restored.append(real(*args))
+        return restored[-1]
+
+    monkeypatch.setattr(cli, "_table_from_payload", counting)
+    return restored
+
+
+def test_tables_cache_round_trip(run, isolated_cache, monkeypatch):
     code, first, _ = run("tables", "--type", "G2", "--parabolic", "2")
     assert code == 0
     cached = list(isolated_cache.glob("table-*.json"))
     assert len(cached) == 1
+    inode = cached[0].stat().st_ino
+    restored = count_restores(monkeypatch)
+    # drop the in-process table so the second call has to read the entry
+    monkeypatch.setattr(eigencone, "_TABLES", {})
     code, second, _ = run("tables", "--type", "G2", "--parabolic", "2")
     assert code == 0 and second == first
+    assert len(restored) == 1
+    assert cached[0].stat().st_ino == inode, "a good entry was rewritten"
+    monkeypatch.setattr(eigencone, "_TABLES", {})
     code, third, _ = run("tables", "--type", "G2", "--parabolic", "2",
                          "--no-cache")
     assert code == 0 and third == first
+    assert len(restored) == 1
 
 
-def test_tables_survives_corrupt_cache(run, isolated_cache):
+def test_tables_survives_corrupt_cache(run, isolated_cache, monkeypatch):
     code, first, _ = run("tables", "--type", "B2", "--parabolic", "1")
     assert code == 0
     (entry,) = isolated_cache.glob("table-*.json")
+    written = entry.read_bytes()
     entry.write_text("{not json")
+    restored = count_restores(monkeypatch)
+    monkeypatch.setattr(eigencone, "_TABLES", {})
     code, again, _ = run("tables", "--type", "B2", "--parabolic", "1")
     assert code == 0 and again == first
+    assert restored == []
+    assert entry.read_bytes() == written, "the corrupt entry was not rewritten"
+    monkeypatch.setattr(eigencone, "_TABLES", {})
+    code, third, _ = run("tables", "--type", "B2", "--parabolic", "1")
+    assert code == 0 and third == first
+    assert len(restored) == 1
 
 
 def test_tables_cache_write_ignores_stale_temp(run, isolated_cache):

@@ -1,5 +1,7 @@
+import itertools
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -83,6 +85,36 @@ def test_a_exponent_validation(b2p2):
         a_exponent(b2p2.ctx, e, e, e, (0, 0))
     with pytest.raises(ValueError, match="nonnegative"):
         a_exponent(b2p2.ctx, e, e, e, (-1,))
+
+
+DEGREE_TERM_SPACES = [
+    (t, r, {ip}) for t, r in [("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)]
+    for ip in range(1, r + 1)
+] + [(t, r, set(range(1, r + 1))) for t, r in [("A", 2), ("B", 2), ("G", 2)]]
+
+
+@pytest.mark.parametrize("t,r,s_p", DEGREE_TERM_SPACES)
+def test_degree_term_matches_both_formulas(t, r, s_p):
+    # the degree part of a_exponent is read off the S-matrix; check it
+    # per degree against the closed form 2 d_i g* / <alpha_i, alpha_i>
+    # and against the sum of alpha(x_i) alpha(d~) over the roots outside
+    # the Levi, d~ being the degree on the simple coroots
+    rs = build_root_system(t, r)
+    ctx = minimal_reps(rs, s_p)
+    qs = sorted(s_p)
+    e = ctx.group.identity
+    base = a_exponent(ctx, e, e, e, (0,) * len(qs))
+    top = 2 * ctx.dim if len(qs) == 1 else 2
+    for d in itertools.product(range(top + 1), repeat=len(qs)):
+        term = [a - b for a, b in zip(a_exponent(ctx, e, e, e, d), base)]
+        for pos, i in enumerate(qs):
+            unit = tuple(int(k == i - 1) for k in range(r))
+            closed = Fraction(2 * d[pos] * rs.dual_coxeter) / \
+                rs.form_on_root_coords(unit, unit)
+            by_roots = sum(Fraction(root[i - 1]) * sum(
+                a * rs.root_pairing(root, j) for a, j in zip(d, qs))
+                for root in ctx.outside_pos)
+            assert term[pos] == closed == by_roots, (i, d)
 
 
 COMINUSCULE = [("A", 2, 1), ("A", 3, 2), ("B", 2, 1)]

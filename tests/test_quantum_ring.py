@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from multcone import quantum_ring
 from multcone.exact import as_int, solve
 from multcone.quantum_ring import (_classical_sub_table, _restrictions,
                                    build_structure_table, chevalley_operator,
@@ -220,6 +221,17 @@ def test_preset_tau_rebuild_matches(quadric_table):
     rebuilt = build_structure_table(quadric_table.ctx,
                                     preset_tau=dict(quadric_table.tau))
     assert rebuilt.tau == quadric_table.tau
+    assert rebuilt.sigma == quadric_table.sigma
+
+
+def test_restored_table_skips_chevalley_operators(quadric_table, monkeypatch):
+    # only the solve reads the operators; a restored table must not pay for them
+    def refuse(ctx, i):
+        raise AssertionError("Chevalley operator computed for a restored table")
+
+    monkeypatch.setattr(quantum_ring, "chevalley_operator", refuse)
+    rebuilt = build_structure_table(quadric_table.ctx,
+                                    preset_tau=dict(quadric_table.tau))
     assert rebuilt.sigma == quadric_table.sigma
 
 
