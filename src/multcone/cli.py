@@ -10,7 +10,6 @@ RuntimeError; either way stderr gets one "error: ..." line.
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -23,8 +22,8 @@ from .eigencone import (generate_inequalities, inequality_to_obj, membership,
                         distinctness_check, points_from_obj)
 from .quantum_ring import build_structure_table
 from .root_system import build_root_system
-from .unitary_oracle import (numeric_membership, rep_for_root_system,
-                             su2_reference_membership)
+from .unitary_oracle import (check_search_settings, numeric_membership,
+                             rep_for_root_system, su2_reference_membership)
 from .weyl import minimal_reps
 
 FORMAT_VERSION = 1
@@ -262,10 +261,10 @@ def cmd_verify(args):
 def cmd_oracle_compare(args):
     rs = _root_system(args)
     n = _factors(args)
-    if args.restarts < 1:
-        raise InputError(f"--restarts must be at least 1, got {args.restarts}")
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise InputError(f"--tol must be a positive finite number, got {args.tol}")
+    try:
+        check_search_settings(args.tol, args.restarts)
+    except ValueError as exc:
+        raise InputError(f"--{exc}") from exc
     try:
         rep = rep_for_root_system(rs)
     except ValueError as exc:

@@ -10,13 +10,18 @@ one linear solve; each restart backtracks on its own.  Candidates are
 polished by cyclically re-solving one factor at a time from the
 eigenvectors of what the other factors force it to be: the best restart at
 iterations 0, 1, 2, 4, 8, ..., stopping the search at the first checked
-witness far below tolerance, and otherwise the ten best at the end.
+witness far below tolerance, and otherwise the ten best at the end.  The
+descent ends after ITERS iterations, or sooner once the best value has
+stalled (fallen by at most STALL_RTOL of itself over STALL_WINDOW
+iterations); since that follows the best restart, the iteration it ends on
+depends on the whole batch.
 
 The search is one-sided: a witness below tolerance certifies feasibility,
 failure to find one proves nothing.  The SU(2) case also has an exact
 closed form (the odd-subset inequalities) used as a cross-check.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,8 +31,8 @@ from .root_system import RootSystem, build_root_system
 
 __all__ = [
     "GroupRep", "group_rep", "rep_for_root_system", "phases_exact",
-    "class_matrix", "OracleVerdict", "numeric_membership",
-    "su2_reference_membership",
+    "class_matrix", "OracleVerdict", "check_search_settings",
+    "numeric_membership", "su2_reference_membership",
 ]
 
 _GROUPS = {
@@ -114,8 +119,15 @@ def _dagger(a):
 
 
 def _sp_project(s):
-    # tangent projection onto the symplectic subalgebra
-    return 0.5 * (s + _J4 @ np.swapaxes(s, -1, -2) @ _J4)
+    # tangent projection onto the symplectic subalgebra, (s + J s^T J) / 2;
+    # for the blocks [[A, B], [C, D]] of s^T, J s^T J is [[-D, C], [B, -A]]
+    t = np.swapaxes(s, -1, -2)
+    jtj = np.empty_like(s)
+    jtj[..., :2, :2] = -t[..., 2:, 2:]
+    jtj[..., :2, 2:] = t[..., 2:, :2]
+    jtj[..., 2:, :2] = t[..., :2, 2:]
+    jtj[..., 2:, 2:] = -t[..., :2, :2]
+    return 0.5 * (s + jtj)
 
 
 def _conjugate(us, ds):
@@ -132,13 +144,44 @@ def _residual_sq(mats):
     return np.sum(np.abs(diff) ** 2, axis=(-2, -1))
 
 
+def _gradient(rep, mats):
+    """Riemannian gradients of the residual in each factor's conjugating
+    unitary, batched over restarts; returns (grad, squared norm per restart)."""
+    restarts, n, bigN, _ = mats.shape
+    eye = np.eye(bigN)
+    # prefix and suffix products around each factor
+    pre = [np.broadcast_to(eye, mats[:, 0].shape)]
+    for k in range(n - 1):
+        pre.append(pre[-1] @ mats[:, k])
+    suf = [np.broadcast_to(eye, mats[:, 0].shape)]
+    for k in range(n - 1, 0, -1):
+        suf.append(mats[:, k] @ suf[-1])
+    suf.reverse()
+    pm1d = _dagger(pre[-1] @ mats[:, -1] - eye)
+
+    grads = []
+    norm2 = np.zeros(restarts)
+    for k in range(n):
+        m = suf[k] @ pm1d @ pre[k]
+        c = mats[:, k] @ m - m @ mats[:, k]
+        g = 0.5 * (_dagger(c) - c)
+        if rep.label == "Sp4":
+            g = _sp_project(g)
+        grads.append(g)
+        norm2 += np.sum(np.abs(g) ** 2, axis=(-2, -1))
+    return np.stack(grads, axis=1), norm2
+
+
 def _descent(rep, ds, restarts, seed, iters, stop_below, checkpoint):
     """Batched gradient descent; returns (values, unitaries) sorted best first.
 
     At iterations 0, 1, 2, 4, 8, ... the class matrices of the best restart
     go to `checkpoint`, and the descent stops as soon as it returns True.
-    Each restart keeps its own step size and backtracks on its own, so its
-    path does not depend on the other restarts in the batch."""
+    It also stops once the best value has fallen by at most STALL_RTOL of
+    itself over the last STALL_WINDOW iterations.  Each restart keeps its
+    own step size and backtracks on its own, so its path does not depend on
+    the other restarts in the batch; where the stall stop ends the descent
+    does, since it follows the best restart."""
     n, bigN = ds.shape
     children = np.random.SeedSequence(seed).spawn(restarts)
     inits = []
@@ -152,37 +195,21 @@ def _descent(rep, ds, restarts, seed, iters, stop_below, checkpoint):
         s = _sp_project(s)
     us = _expm_skew(s)
 
-    eye = np.eye(bigN)
     eta = np.full(restarts, 0.2)
     mats = _conjugate(us, ds)
     f = _residual_sq(mats)
+    history = []    # best value at the start of each iteration
     for it in range(iters):
         best = np.argmin(f)
+        history.append(f[best])
         if f[best] < stop_below:
+            break
+        if (it >= STALL_WINDOW and history[it - STALL_WINDOW] - f[best]
+                <= STALL_RTOL * f[best]):
             break
         if it & (it - 1) == 0 and checkpoint(mats[best]):
             break
-        # prefix and suffix products around each factor
-        pre = [np.broadcast_to(eye, mats[:, 0].shape)]
-        for k in range(n - 1):
-            pre.append(pre[-1] @ mats[:, k])
-        suf = [np.broadcast_to(eye, mats[:, 0].shape)]
-        for k in range(n - 1, 0, -1):
-            suf.append(mats[:, k] @ suf[-1])
-        suf.reverse()
-        pm1d = _dagger(pre[-1] @ mats[:, -1] - eye)
-
-        grads = []
-        norm2 = np.zeros(restarts)
-        for k in range(n):
-            m = suf[k] @ pm1d @ pre[k]
-            c = mats[:, k] @ m - m @ mats[:, k]
-            g = 0.5 * (_dagger(c) - c)
-            if rep.label == "Sp4":
-                g = _sp_project(g)
-            grads.append(g)
-            norm2 += np.sum(np.abs(g) ** 2, axis=(-2, -1))
-        grad = np.stack(grads, axis=1)
+        grad, norm2 = _gradient(rep, mats)
 
         # backtracking: halve the step until the Armijo bound holds, stepping
         # again only the restarts whose last candidate was refused
@@ -297,9 +324,26 @@ def _valid_witness(rep, mats, ds):
     return True
 
 
-# descent iterations per search and polish cycles per candidate
+# descent iterations per search; the descent ends early once the best value
+# has fallen by at most STALL_RTOL of itself over STALL_WINDOW iterations
 ITERS = 150
+STALL_WINDOW = 16
+STALL_RTOL = 1e-6
+# polish cycles per candidate, and the most restarts one search may batch
 POLISH_CYCLES = 60
+MAX_RESTARTS = 10_000
+
+
+def check_search_settings(tol, restarts):
+    """Raise ValueError unless tol is a positive finite number and restarts
+    lies in 1..MAX_RESTARTS; nothing is allocated before this check."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if restarts > MAX_RESTARTS:
+        raise ValueError(
+            f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
 
 
 def numeric_membership(rep: GroupRep, points, tol=1e-8, restarts=200,
@@ -309,15 +353,17 @@ def numeric_membership(rep: GroupRep, points, tol=1e-8, restarts=200,
     The descent steps along the Cayley map, which keeps every iterate in
     the group.  At iterations 0, 1, 2, 4, 8, ... the best restart is
     polished, and the search ends as soon as a polished candidate that
-    passes the witness checks lies below tol * 1e-2; a search that gets
-    there without one polishes its ten best restarts at the end.  Feasible
-    iff some candidate reaches a residual below tol; the reported residual
-    is the best Frobenius distance found.  The whole run is deterministic
-    for a fixed (seed, restarts) pair; every search runs at most ITERS
-    descent iterations and each polish POLISH_CYCLES cycles.
+    passes the witness checks lies below tol * 1e-2.  The descent runs at
+    most ITERS iterations and ends sooner once the best restart's value has
+    stalled (see `_descent`), so where an uncertified search stops depends
+    on the whole batch of restarts; such a search polishes its ten best
+    restarts at the end.  Feasible iff some candidate reaches a residual
+    below tol; the reported residual is the best Frobenius distance found.
+    The whole run is deterministic for a fixed (seed, restarts) pair, and
+    each polish runs at most POLISH_CYCLES cycles.  Settings that
+    `check_search_settings` refuses raise ValueError before any work.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    check_search_settings(tol, restarts)
     points = tuple(points)
     rs = rep.rs
     for k, p in enumerate(points):

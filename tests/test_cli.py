@@ -341,6 +341,8 @@ def test_points_schema_accepts_point_files(tmp_path):
 @pytest.mark.parametrize("flag, value, message", [
     ("--restarts", "-3", "--restarts must be at least 1, got -3"),
     ("--restarts", "0", "--restarts must be at least 1, got 0"),
+    ("--restarts", "1000000000",
+     "--restarts must be at most 10000, got 1000000000"),
     ("--tol", "-1", "--tol must be a positive finite number, got -1.0"),
     ("--tol", "0", "--tol must be a positive finite number, got 0.0"),
     ("--tol", "nan", "--tol must be a positive finite number, got nan"),

@@ -122,6 +122,39 @@ def test_numeric_rejects_restarts_below_one(restarts):
         uo.numeric_membership(rep, [cp("1/4", "1/4")] * 3, restarts=restarts)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_numeric_rejects_meaningless_tol(tol):
+    # an inside tuple whose residual is about 3e-16 must not come back
+    # infeasible because tol cannot be met
+    rep = uo.group_rep("SU2")
+    with pytest.raises(ValueError,
+                       match="tol must be a positive finite number"):
+        uo.numeric_membership(rep, [cp("1/2")] * 3, tol=tol)
+
+
+def test_numeric_refuses_restarts_above_the_maximum(monkeypatch):
+    # the refusal comes before any search allocates its restarts
+    def no_search(*args, **kwargs):
+        raise AssertionError("search started")
+    monkeypatch.setattr(uo, "_descent", no_search)
+    rep = uo.group_rep("SU3")
+    with pytest.raises(ValueError, match=f"restarts must be at most "
+                                         f"{uo.MAX_RESTARTS}, got {10**9}"):
+        uo.numeric_membership(rep, [cp("1/4", "1/4")] * 3, restarts=10**9)
+    uo.check_search_settings(1e-8, uo.MAX_RESTARTS)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 60))
+def test_sp_project_matches_the_matrix_form(seed, batch):
+    rng = np.random.default_rng(seed)
+    shape = (batch, 3, 4, 4)
+    s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = 0.5 * (s + uo._J4 @ np.swapaxes(s, -1, -2) @ uo._J4)
+    got = uo._sp_project(s)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 4, "Sp4"]),
        step=st.floats(0, 2))
@@ -164,6 +197,23 @@ def test_descent_restarts_do_not_interact():
         assert np.abs(us8[j] - u).max() <= 1e-12
 
 
+def _count_steps(monkeypatch):
+    # one gradient per descent iteration that takes a step, so the count is
+    # the iteration the descent stopped at
+    steps = []
+    gradient = uo._gradient
+
+    def counted(rep, mats):
+        steps.append(1)
+        return gradient(rep, mats)
+    monkeypatch.setattr(uo, "_gradient", counted)
+    return steps
+
+
+def _checkpoints_before(stop):
+    return sum(1 for it in range(stop) if it & (it - 1) == 0)
+
+
 def test_polish_checkpoints_keep_the_witness_check(monkeypatch):
     calls = []
 
@@ -171,11 +221,53 @@ def test_polish_checkpoints_keep_the_witness_check(monkeypatch):
         calls.append(1)
         return 0.0, [2 * np.eye(rep.dim)] * len(mats)
     monkeypatch.setattr(uo, "_polish", fake_polish)
+    steps = _count_steps(monkeypatch)
     rep, pts, _ = _outside_su3()
     v = uo.numeric_membership(rep, pts, restarts=10)
     assert not v.feasible and v.residual > 0.5
-    # iterations 0, 1, 2, 4, ..., 128 of 150, then the ten best restarts
-    assert len(calls) == 9 + 10
+    # the stall stop ends the descent early; every checkpoint at iterations
+    # 0, 1, 2, 4, ... before it was polished, then the ten best restarts
+    stop = len(steps)
+    assert stop < uo.ITERS
+    assert len(calls) == _checkpoints_before(stop) + 10
+
+
+@pytest.mark.parametrize("label, coords", [
+    ("SU3", [("3/4", "0"), ("3/4", "0"), ("0", "3/4")]),
+    ("Sp4", [("1/4", "1/2")] * 3),
+])
+def test_stall_stop_keeps_the_outside_residual(monkeypatch, label, coords):
+    rep = uo.group_rep(label)
+    pts = [cp(*c) for c in coords]
+    steps = _count_steps(monkeypatch)
+    stalled = uo.numeric_membership(rep, pts, restarts=40)
+    stop = len(steps)
+    steps.clear()
+    monkeypatch.setattr(uo, "STALL_WINDOW", uo.ITERS)
+    full = uo.numeric_membership(rep, pts, restarts=40)
+    assert len(steps) == uo.ITERS and stop < uo.ITERS
+    assert not stalled.feasible and not full.feasible
+    assert abs(stalled.residual - full.residual) <= 1e-6 * full.residual
+
+
+@pytest.mark.parametrize("label, coords", [
+    ("SU3", ("1/4", "1/4")), ("Sp4", ("1/8", "1/8"))])
+def test_inside_search_ends_at_a_checkpoint(monkeypatch, label, coords):
+    calls = []
+    polish = uo._polish
+
+    def counted(*args):
+        calls.append(1)
+        return polish(*args)
+    monkeypatch.setattr(uo, "_polish", counted)
+    steps = _count_steps(monkeypatch)
+    v = uo.numeric_membership(uo.group_rep(label), [cp(*coords)] * 3,
+                              restarts=50)
+    assert v.feasible and v.residual < 1e-10
+    # the checkpoint at the stop iteration certified; no closing polish ran
+    stop = len(steps)
+    assert stop < uo.STALL_WINDOW and stop & (stop - 1) == 0
+    assert len(calls) == _checkpoints_before(stop) + 1
 
 
 def test_su2_reference_validation():
