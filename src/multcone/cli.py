@@ -33,6 +33,13 @@ class InputError(Exception):
     """Bad invocation or input file; mapped to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    # a bad argument vector takes the same one-line exit-2 path as any
+    # other bad input, instead of argparse's usage text and SystemExit
+    def error(self, message):
+        raise InputError(message)
+
+
 # --- structure-table disk cache ---------------------------------------------
 
 def cache_dir():
@@ -231,6 +238,8 @@ def cmd_member(args):
 def cmd_verify(args):
     rs = _root_system(args)
     n = _factors(args)
+    if args.workers is not None and args.workers < 1:
+        raise InputError(f"--workers must be at least 1, got {args.workers}")
     _prewarm(args, rs)
     ineqs = generate_inequalities(rs, n)
     report = irredundancy_check(rs, n, ineqs, workers=args.workers)
@@ -346,7 +355,7 @@ def _parse_type(type_arg, rank_arg):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multcone",
         description="Deformed quantum multiplication tables and the "
                     "inequality system of the multiplicative eigenvalue "
@@ -374,8 +383,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.type, args.rank = _parse_type(args.type, args.rank)
         return _COMMANDS[args.command](args)
     except (InputError, ValueError, RuntimeError) as exc:

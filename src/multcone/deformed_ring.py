@@ -174,7 +174,7 @@ def is_levi_movable(table: QuantumTable, classes, degree):
         u1, u2, u3 = classes
         gw = table.gw(u1, u2, u3, degree)
         grading = sum(ctx.codim(u) for u in classes) == \
-            ctx.dim + sum(a * b for a, b in zip(degree, table.q_degrees))
+            ctx.dim + ctx.q_codim(degree)
         alt = bool(gw) and grading and \
             not any(a_exponent(ctx, u1, u2, u3, degree))
         assert (val != 0) == alt, (tuple(map(str, classes)), degree, val, gw)

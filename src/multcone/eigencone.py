@@ -586,10 +586,12 @@ def points_to_obj(points):
 
 
 def points_from_obj(rs: RootSystem, obj):
-    if not isinstance(obj, dict) or "points" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("points"), list):
         raise ValueError('point file must be an object with a "points" list')
     out = []
     for k, row in enumerate(obj["points"]):
+        if not isinstance(row, list):
+            raise ValueError(f"point {k + 1} is not a list of coordinates")
         if len(row) != rs.rank:
             raise ValueError(f"point {k + 1} has {len(row)} coordinates, "
                              f"expected {rs.rank}")

@@ -59,8 +59,7 @@ def chevalley_operator(ctx: ParabolicContext, i):
         coeff = as_int(cov[i - 1])
         if coeff:
             d = tuple(as_int(cov[j - 1]) for j in qs)
-            degq = sum(dj * ctx.q_degrees[j] for dj, j in zip(d, qs))
-            reflections.append((coeff, d, g.reflection(alpha), degq))
+            reflections.append((coeff, d, g.reflection(alpha), ctx.q_codim(d)))
     out = {}
     for w in ctx.wp:
         terms = {}
@@ -88,8 +87,8 @@ def _restrictions(ctx):
     kept.
     """
     g, rs = ctx.group, ctx.rs
-    n = rs.rank
-    alpha_fund = [tuple(rs.cartan[a][k] for a in range(n)) for k in range(n)]
+    alpha_fund = [rs.root_fund[tuple(int(j == k) for j in range(rs.rank))]
+                  for k in range(rs.rank)]
     xi = {}
     for w in ctx.wp:
         heights = []
@@ -173,8 +172,8 @@ class QuantumTable:
         bound = 2 * self.ctx.dim
         ranges = [range(bound // qd + 1) for qd in self.q_degrees]
         vecs = [d for d in itertools.product(*ranges)
-                if 0 < sum(a * b for a, b in zip(d, self.q_degrees)) <= bound]
-        vecs.sort(key=lambda d: (sum(a * b for a, b in zip(d, self.q_degrees)), d))
+                if 0 < self.ctx.q_codim(d) <= bound]
+        vecs.sort(key=lambda d: (self.ctx.q_codim(d), d))
         return vecs
 
     def _build(self):
@@ -233,7 +232,7 @@ class QuantumTable:
         a {y: coeff} dict, or None if (u, v) is still an unknown at d."""
         if u.length > v.length:
             u, v = v, u
-        degq = sum(a * b for a, b in zip(d, self.q_degrees))
+        degq = self.ctx.q_codim(d)
         if not 0 <= u.length + v.length - degq <= self.ctx.dim:
             return {}
         if u.length == 0:
@@ -250,7 +249,7 @@ class QuantumTable:
         """Pin down every degree-d constant not already given by the
         Chevalley rule, using divisor associativity."""
         ctx = self.ctx
-        degq = sum(a * b for a, b in zip(d, self.q_degrees))
+        degq = ctx.q_codim(d)
 
         # unknowns: one per (u, v, y) with both factors of length >= 2;
         # shorter factors are covered by the unit and the Chevalley rule
@@ -344,7 +343,7 @@ class QuantumTable:
             assert self.tau[(x, u)] == poly
             want = u.length + x.length
             for (w, d), c in poly.items():
-                got = w.length + sum(a * b for a, b in zip(d, self.q_degrees))
+                got = w.length + ctx.q_codim(d)
                 assert got == want, ((str(u), str(x)), (str(w), d), c)
                 assert c > 0, ((str(u), str(x)), (str(w), d), c)
         if len(ctx.wp) <= 32:
@@ -408,7 +407,7 @@ def _tuple_coeff(table, products, classes, degree):
     unless the codimensions balance."""
     ctx = table.ctx
     codim_sum = sum(ctx.codim(u) for u in classes)
-    need = ctx.dim + sum(a * b for a, b in zip(degree, table.q_degrees))
+    need = ctx.dim + ctx.q_codim(degree)
     if codim_sum != need:
         return 0
     poly = {(classes[0], table.zero_d): 1}

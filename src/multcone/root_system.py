@@ -171,10 +171,16 @@ class RootSystem:
                     if p == i and d[q] is None:
                         d[q] = d[p] * Fraction(cartan[p][q], cartan[q][p])
                         pending.append(q)
-        theta_sq = self._raw_norm(self.highest_root, d)
-        scale = Fraction(2) / theta_sq
+        # the form is linear in d, so <theta,theta> under the unscaled d
+        # gives the scale
+        self._d = tuple(d)
+        scale = Fraction(2) / self.form_on_root_coords(self.highest_root,
+                                                        self.highest_root)
         self._d = tuple(x * scale for x in d)
-        self.form_norm = tuple(self._raw_norm(a, self._d) for a in self.positive_roots)
+        self.form_norm = tuple(self.form_on_root_coords(a, a) for a in self.positive_roots)
+        # beta(alpha_i^vee) for every positive root beta, read by the Weyl layer
+        self.root_fund = {r: tuple(self.root_pairing(r, i) for i in range(1, n + 1))
+                          for r in self.positive_roots}
 
         self.inverse_cartan = _invert(self.cartan)
 
@@ -224,19 +230,8 @@ class RootSystem:
                 raise AssertionError("highest root not dominant over all roots")
         return top
 
-    def _raw_norm(self, root, d):
-        # <beta,beta> for beta in simple-root coordinates; (alpha_i,alpha_j) = d_i*a_ij
-        tot = Fraction(0)
-        for i, a in enumerate(root):
-            if a == 0:
-                continue
-            for j, b in enumerate(root):
-                if b == 0:
-                    continue
-                tot += Fraction(a) * b * d[i] * self.cartan[i][j]
-        return tot
-
     def form_on_root_coords(self, c1, c2):
+        # <beta,gamma> for simple-root coordinates; (alpha_i,alpha_j) = d_i*a_ij
         tot = Fraction(0)
         for i, a in enumerate(c1):
             if a == 0:

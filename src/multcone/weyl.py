@@ -2,10 +2,14 @@
 
 Elements are stored by their exact integer action matrix on the
 fundamental-weight basis; reduced words are the lexicographically minimal
-ones, found by breadth-first closure.
+ones, found by breadth-first closure.  Group orders come from Kostant's
+formula, so a group above DEFAULT_GROUP_BOUND is refused before any
+element is built, and a coset w W_P is read off the weight w(lambda_P).
 Words render as "s1 s2 s1", the identity as "e".
 """
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +19,7 @@ from .root_system import RootSystem, Weight, CartanPoint
 __all__ = [
     "WeylElement", "WeylGroup", "ParabolicContext",
     "enumerate_weyl", "get_weyl_group", "minimal_reps", "chi", "s_matrix",
-    "render_word",
+    "render_word", "weyl_order",
 ]
 
 DEFAULT_GROUP_BOUND = 10 ** 6
@@ -23,6 +27,15 @@ DEFAULT_GROUP_BOUND = 10 ** 6
 
 def render_word(word):
     return "e" if not word else " ".join(f"s{i}" for i in word)
+
+
+def weyl_order(positive_roots):
+    """Order of the Weyl group of a (possibly reducible) root system, given
+    its positive roots in simple-root coordinates: Kostant's product
+    prod (m + 1) over the exponents m, where exactly n_k - n_{k+1} exponents
+    equal k for n_k the number of positive roots of height k."""
+    n = Counter(sum(r) for r in positive_roots)
+    return math.prod((k + 1) ** (n[k] - n[k + 1]) for k in n)
 
 
 @dataclass(frozen=True)
@@ -87,6 +100,11 @@ class WeylGroup:
     """The full Weyl group of a root system, enumerated once and indexed by matrix."""
 
     def __init__(self, rs: RootSystem):
+        order = weyl_order(rs.positive_roots)
+        if order > DEFAULT_GROUP_BOUND:
+            raise RuntimeError(
+                f"the Weyl group of {rs.type_label}{rs.rank} has {order} "
+                f"elements, above the bound {DEFAULT_GROUP_BOUND}")
         self.rs = rs
         n = rs.rank
         self.simple_matrices = _simple_matrices(rs)
@@ -94,13 +112,9 @@ class WeylGroup:
 
         # fundamental coordinates of every root, for sign lookups
         self.roots_fund = {}
-        for r in rs.positive_roots:
-            f = tuple(sum(rs.cartan[i][j] * r[j] for j in range(n)) for i in range(n))
+        for r, f in rs.root_fund.items():
             self.roots_fund[f] = (1, r)
             self.roots_fund[tuple(-x for x in f)] = (-1, r)
-        self.pos_roots_fund = tuple(
-            tuple(sum(rs.cartan[i][j] * r[j] for j in range(n)) for i in range(n))
-            for r in rs.positive_roots)
 
         # breadth-first closure; words are appended on the right in ascending
         # generator order, so the first word reaching an element is its
@@ -117,12 +131,9 @@ class WeylGroup:
                         w2 = word + (k + 1,)
                         seen[m2] = w2
                         nxt.append((m2, w2))
-                        if len(seen) > DEFAULT_GROUP_BOUND:
-                            raise RuntimeError(
-                                "Weyl group larger than the configured bound "
-                                f"{DEFAULT_GROUP_BOUND}")
             level = nxt
             ordered.extend(nxt)
+        assert len(ordered) == order, (rs, len(ordered), order)
 
         self.elements = [WeylElement(m, w) for m, w in ordered]
         self.by_matrix = {e.matrix: e for e in self.elements}
@@ -149,19 +160,17 @@ class WeylGroup:
 
     def root_sign(self, w: WeylElement, root):
         """Sign of w(alpha) for a positive root alpha in root coordinates."""
-        f = tuple(sum(self.rs.cartan[i][j] * root[j] for j in range(self.rs.rank))
-                  for i in range(self.rs.rank))
-        return self.roots_fund[w.act_fund(f)][0]
+        return self.roots_fund[w.act_fund(self.rs.root_fund[root])][0]
 
     def length_by_inversions(self, w: WeylElement):
-        return sum(1 for f in self.pos_roots_fund
+        return sum(1 for f in self.rs.root_fund.values()
                    if self.roots_fund[w.act_fund(f)][0] < 0)
 
     def reflection(self, root):
-        """The reflection s_beta for a root in root coordinates."""
+        """The reflection s_beta for a positive root in root coordinates."""
         n = self.rs.rank
         cov = self.rs.coroot(root)
-        fund = tuple(sum(self.rs.cartan[i][j] * root[j] for j in range(n)) for i in range(n))
+        fund = self.rs.root_fund[root]
         mat = tuple(tuple((1 if i == j else 0) - as_int(cov[j] * fund[i])
                           for j in range(n)) for i in range(n))
         return self.by_matrix[mat]
@@ -186,9 +195,10 @@ class ParabolicContext:
     """A standard parabolic P given by the simple roots S_P it drops from the Levi.
 
     Carries the minimal coset representatives of W/W_P sorted by
-    (length, lex word), the dimension of the flag variety, the Levi half-sum
-    rho_L, the longest elements of W and W_P, an eagerly built chi table,
-    the degrees of the quantum parameters and the S-matrix (see s_matrix).
+    (length, lex word), one per point of the orbit W lambda_P, the
+    dimension of the flag variety, the Levi half-sum rho_L, the longest
+    elements of W and W_P, an eagerly built chi table, the degrees of the
+    quantum parameters and the S-matrix (see s_matrix).
     """
 
     def __init__(self, rs: RootSystem, s_p):
@@ -200,7 +210,6 @@ class ParabolicContext:
             raise ValueError(f"S_P indices out of range 1..{rs.rank}: {sorted(s_p)}")
         self.rs = rs
         self.s_p = s_p
-        self.delta_p = tuple(i for i in range(1, rs.rank + 1) if i not in s_p)
         self.group = get_weyl_group(rs)
 
         # Levi positive roots: support inside Delta_P
@@ -216,18 +225,24 @@ class ParabolicContext:
                 half[j] += Fraction(c, 2)
         self.rho_l = rs.weight_from_root_coords(half)
 
-        # minimal representatives: w(alpha) positive for all alpha in Delta_P
-        self.wp = [w for w in self.group.elements
-                   if all(self.group.root_sign(w, _unit(rs.rank, i - 1)) > 0
-                          for i in self.delta_p)]
-        wp_count = len(self.group.elements) // self._levi_order()
-        assert len(self.wp) == wp_count, "coset representative count mismatch"
+        # W_P fixes exactly lambda_P = sum of omega_i over S_P, so w W_P is
+        # the point w(lambda_P); in (length, lex word) order the first
+        # element to reach a point is its minimal representative
+        g = self.group
+        self._lambda_p = tuple(int(i in s_p) for i in range(1, rs.rank + 1))
+        self._coset = {}
+        for w in g.elements:
+            self._coset.setdefault(w.act_fund(self._lambda_p), w)
+        self.wp = list(self._coset.values())
+        assert len(self.wp) == len(g.elements) // weyl_order(self.levi_pos), \
+            "coset representative count mismatch"
         self.wp_index = {w: k for k, w in enumerate(self.wp)}
 
-        self.w_o = self.group.longest
-        self.w_o_p = self._levi_longest()
+        # w_o = w^P w_o^P with w^P the longest minimal representative
+        self.w_o = g.longest
+        self.w_o_p = g.mult(g.inverse(self.wp[-1]), self.w_o)
+        assert self.w_o_p.length == len(self.levi_pos), "w_o^P is not the Levi's longest"
 
-        g = self.group
         self._dual = {}
         for w in self.wp:
             out = g.mult(g.mult(self.w_o, w), self.w_o_p)
@@ -247,6 +262,7 @@ class ParabolicContext:
             deg = as_int(via_rho)
             assert deg > 0
             self.q_degrees[i] = deg
+        self._q_degree_row = tuple(self.q_degrees[i] for i in sorted(s_p))
 
         self.s_matrix = self._s_matrix()
 
@@ -269,30 +285,6 @@ class ParabolicContext:
                 row.append(val)
             out.append(tuple(row))
         return tuple(out)
-
-    def _levi_order(self):
-        if not self.delta_p:
-            return 1
-        mats = {self.group.identity_matrix}
-        frontier = [self.group.identity_matrix]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for i in self.delta_p:
-                    m2 = _matmul(m, self.group.simple_matrices[i - 1])
-                    if m2 not in mats:
-                        mats.add(m2)
-                        nxt.append(m2)
-            frontier = nxt
-        self._levi_mats = mats
-        return len(mats)
-
-    def _levi_longest(self):
-        if not self.delta_p:
-            return self.group.identity
-        best = max((self.group.by_matrix[m] for m in self._levi_mats),
-                   key=lambda e: e.length)
-        return best
 
     def _chi_both_ways(self, w):
         rs, g = self.rs, self.group
@@ -330,18 +322,12 @@ class ParabolicContext:
                 f"{w} is not a minimal coset representative here") from None
 
     def min_rep(self, v) -> WeylElement:
-        """Minimal representative of the coset v W_P (strip right descents in Delta_P)."""
-        g = self.group
-        cur = v
-        moved = True
-        while moved:
-            moved = False
-            for i in self.delta_p:
-                if g.root_sign(cur, _unit(self.rs.rank, i - 1)) < 0:
-                    cur = g.mult_simple(cur, i)
-                    moved = True
-                    break
-        return cur
+        """Minimal representative of the coset v W_P, read off v(lambda_P)."""
+        return self._coset[v.act_fund(self._lambda_p)]
+
+    def q_codim(self, d):
+        """The codimension sum_i d_i deg(q_i) of q^d, d indexed by sorted S_P."""
+        return sum(a * b for a, b in zip(d, self._q_degree_row))
 
     def by_length(self, ell):
         return [w for w in self.wp if w.length == ell]

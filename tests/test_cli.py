@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from multcone import cli, eigencone, unitary_oracle
+from multcone import cli, eigencone, unitary_oracle, weyl
 from multcone.cli import main
 from multcone.eigencone import compile_system
 
@@ -238,6 +238,18 @@ def test_member_bad_point_files(run, tmp_path):
     assert code == 2 and "not in the fundamental alcove" in err
 
 
+@pytest.mark.parametrize("command", ["member", "oracle-compare"])
+@pytest.mark.parametrize("points, message", [
+    ("111", 'point file must be an object with a "points" list'),
+    (["1", "0", "1"], "point 1 is not a list of coordinates"),
+])
+def test_point_files_need_a_list_of_lists(run, tmp_path, command, points,
+                                          message):
+    path = points_file(tmp_path, points)
+    code, out, err = run(command, "--type", "A1", "-n", "3", "--point", path)
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
 def test_verify_text(run):
     code, out, _ = run("verify", "--type", "A1", "-n", "3")
     assert code == 0
@@ -366,3 +378,36 @@ def test_library_error_is_one_line_exit_2(run, monkeypatch, exc):
     assert (code, out) == (2, "")
     assert err == ("error: quantum products of B4/P[3] are underdetermined "
                    "at degree (1,)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--type", "B2", "--format", "xml"],
+    ["tables", "--type", "B2", "--parabolic", "x"],
+    ["tables", "--parabolic", "1"],
+    ["tables", "--type", "B2", "--parabolic", "1", "--bogus"],
+    ["verify", "--type", "A1", "-n", "3", "--workers", "0"],
+    ["verify", "--type", "A1", "-n", "3", "--workers", "-2"],
+])
+def test_bad_arguments_are_one_line_exit_2(run, argv):
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: multcone tables")
+
+
+@pytest.mark.parametrize("t, order", [("E7", 2903040), ("E8", 696729600)])
+def test_groups_above_the_bound_are_refused_before_enumeration(run, monkeypatch,
+                                                               t, order):
+    def no_products(a, b):
+        raise AssertionError("a Weyl matrix product was computed")
+    monkeypatch.setattr(weyl, "_matmul", no_products)
+    code, out, err = run("tables", "--type", t, "--parabolic", "7", "--no-cache")
+    assert (code, out) == (2, "")
+    assert err == (f"error: the Weyl group of {t} has {order} elements, "
+                   "above the bound 1000000\n")

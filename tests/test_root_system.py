@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from multcone.root_system import (CartanPoint, Weight, build_root_system,
                                   kappa, kappa_inv, killing_form)
-from multcone.weyl import WeylGroup, minimal_reps
+from multcone import weyl
+from multcone.weyl import WeylGroup, enumerate_weyl, minimal_reps, weyl_order
 
 F = Fraction
 
@@ -225,3 +226,21 @@ def test_duality_swaps_length_and_codimension(t, r):
         for e in outside[:1]:
             with pytest.raises(ValueError, match="not a minimal coset"):
                 ctx.dual(e)
+
+
+@pytest.mark.parametrize("t,r", sorted(POS_ROOT_COUNTS))
+def test_weyl_order_matches_enumeration(t, r):
+    rs = build_root_system(t, r)
+    assert weyl_order(rs.positive_roots) == len(enumerate_weyl(rs))
+
+
+def test_weyl_order_of_type_e_without_enumerating(monkeypatch):
+    def no_products(a, b):
+        raise AssertionError("a Weyl matrix product was computed")
+    monkeypatch.setattr(weyl, "_matmul", no_products)
+    orders = {6: 51840, 7: 2903040, 8: 696729600}
+    for r, order in orders.items():
+        assert weyl_order(build_root_system("E", r).positive_roots) == order
+    for r in (7, 8):
+        with pytest.raises(RuntimeError, match=f"E{r} has {orders[r]} elements"):
+            WeylGroup(build_root_system("E", r))

@@ -181,16 +181,23 @@ def _outside_su3():
     return rep, pts, ds
 
 
-def test_descent_restarts_do_not_interact():
+def test_descent_restarts_do_not_interact(monkeypatch):
     # SeedSequence.spawn gives restarts=3 the first three starts of
     # restarts=8; each must then follow the same path in either batch.
-    # The values meet at one minimum within 40 iterations, so restarts are
-    # paired by their unitaries, which stay apart.
+    # The stall stop follows the best restart, so it could end the two
+    # batches at different iterations; it is switched off, and both run
+    # all 40.  The values meet at one minimum within 40 iterations, so
+    # restarts are paired by their unitaries, which stay apart.
+    monkeypatch.setattr(uo, "STALL_WINDOW", uo.ITERS)
+    steps = _count_steps(monkeypatch)
     rep, _, ds = _outside_su3()
     vals3, us3 = uo._descent(rep, ds, 3, 5, 40, stop_below=0,
                              checkpoint=lambda mats: False)
+    steps3 = len(steps)
+    steps.clear()
     vals8, us8 = uo._descent(rep, ds, 8, 5, 40, stop_below=0,
                              checkpoint=lambda mats: False)
+    assert steps3 == len(steps) == 40
     for v, u in zip(vals3, us3):
         j = np.argmin(np.abs(us8 - u).reshape(len(us8), -1).max(axis=1))
         assert abs(vals8[j] - v) <= 1e-12 * v

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from multcone.root_system import CartanPoint, build_root_system
 from multcone.weyl import (chi, enumerate_weyl, get_weyl_group, minimal_reps,
-                           render_word, s_matrix)
+                           render_word, s_matrix, weyl_order)
 
 F = Fraction
 
@@ -138,6 +139,82 @@ def test_point_action_orientation():
     moved = ctx.point_action(s1, p)
     # s1 fixes alpha_2-height along its reflection: m1 -> -m1, m2 -> m2 + m1
     assert moved.coords == (-F(1, 5), F(1, 7) + F(1, 5))
+
+
+def _simple_root(rs, i):
+    return tuple(int(j == i - 1) for j in range(rs.rank))
+
+
+def _delta_p(ctx):
+    return [i for i in range(1, ctx.rs.rank + 1) if i not in ctx.s_p]
+
+
+def _reference_wp(ctx):
+    # w is a minimal representative iff w(alpha_i) > 0 for alpha_i in Delta_P
+    g = ctx.group
+    return [w for w in g.elements
+            if all(g.root_sign(w, _simple_root(ctx.rs, i)) > 0
+                   for i in _delta_p(ctx))]
+
+
+def _reference_min_rep(ctx, v):
+    # strip right descents in Delta_P until none is left
+    g = ctx.group
+    cur = v
+    moved = True
+    while moved:
+        moved = False
+        for i in _delta_p(ctx):
+            if g.root_sign(cur, _simple_root(ctx.rs, i)) < 0:
+                cur = g.mult_simple(cur, i)
+                moved = True
+                break
+    return cur
+
+
+def _reference_levi(ctx):
+    # closure of the identity under the generators s_i, i in Delta_P
+    g = ctx.group
+    levi = {g.identity}
+    frontier = [g.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for i in _delta_p(ctx):
+                y = g.mult_simple(x, i)
+                if y not in levi:
+                    levi.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return levi
+
+
+def _reference_parabolics():
+    # every parabolic of rank <= 3, every maximal parabolic of rank 4
+    out = []
+    for t, r in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                 ("C", 2), ("C", 3), ("G", 2)]:
+        for k in range(1, r + 1):
+            out += [(t, r, s_p) for s_p in itertools.combinations(range(1, r + 1), k)]
+    for t in "ABCDF":
+        out += [(t, 4, (ip,)) for ip in range(1, 5)]
+    return out
+
+
+REFERENCE_PARABOLICS = _reference_parabolics()
+
+
+@pytest.mark.parametrize("t,r,s_p", REFERENCE_PARABOLICS, ids=[
+    f"{t}{r}-P{''.join(map(str, s_p))}" for t, r, s_p in REFERENCE_PARABOLICS])
+def test_orbit_cosets_match_the_closures(t, r, s_p):
+    ctx = minimal_reps(build_root_system(t, r), s_p)
+    g = ctx.group
+    assert ctx.wp == _reference_wp(ctx)
+    for v in g.elements:
+        assert ctx.min_rep(v) == _reference_min_rep(ctx, v)
+    levi = _reference_levi(ctx)
+    assert len(levi) == weyl_order(ctx.levi_pos)
+    assert ctx.w_o_p == max(levi, key=lambda e: e.length)
 
 
 def test_min_rep_strips_levi_descents():
