@@ -362,22 +362,34 @@ def build_parser():
                     "polytope.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
+    options = {
+        "--parabolic": {"type": int,
+                        "help": "maximal-parabolic node index, 1-based"},
+        "-n": {"type": int, "dest": "n", "help": "number of tensor factors"},
+        "--point": {"help": "JSON file with alcove points"},
+        "--seed": {"type": int, "default": 0},
+        "--restarts": {"type": int, "default": 200},
+        "--tol": {"type": float, "default": 1e-8},
+        "--workers": {"type": int},
+    }
+    # the options each command reads beyond --type, --rank, --format and
+    # --no-cache; any other option is an argparse error, exit 2
+    reads = {
+        "tables": ("--parabolic",),
+        "inequalities": ("-n",),
+        "member": ("-n", "--point"),
+        "verify": ("-n", "--workers"),
+        "oracle-compare": ("-n", "--point", "--seed", "--restarts", "--tol"),
+    }
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--type", required=True,
                        help="root-system label, e.g. A2, B2, G2")
         p.add_argument("--rank", type=int,
                        help="rank, when the type label does not carry it")
-        p.add_argument("--parabolic", type=int,
-                       help="maximal-parabolic node index, 1-based")
-        p.add_argument("-n", type=int, dest="n",
-                       help="number of tensor factors")
-        p.add_argument("--point", help="JSON file with alcove points")
+        for flag in reads[name]:
+            p.add_argument(flag, **options[flag])
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--restarts", type=int, default=200)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--workers", type=int)
         p.add_argument("--no-cache", action="store_true")
     return parser
 

@@ -14,14 +14,12 @@ for the irredundancy certificates.
 import itertools
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from multiprocessing import get_context
+from math import gcd, lcm
 from operator import mul
 
-from .exact import row_reduce
+from .exact import as_int, row_reduce
 from .root_system import RootSystem, Weight, CartanPoint
 from .weyl import minimal_reps
 from .quantum_ring import build_structure_table, gw_invariant
@@ -195,9 +193,9 @@ def compile_system(rs: RootSystem, n, inequalities) -> CompiledSystem:
 
 
 def _integral(values):
-    """(ints, den) with values[i] == ints[i] / den."""
-    den = lcm(*(Fraction(v).denominator for v in values))
-    return [int(v * den) for v in values], den
+    """(ints, den) with values[i] == ints[i] / den, for ints and Fractions."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 # --- membership -------------------------------------------------------------
@@ -253,6 +251,11 @@ class _Simplex:
     entering and the leaving variable by this numbering.  The tableau is
     condensed: row r reads x[basis[r]] + sum_c rows[r][c] x[nonbasic[c]] =
     rows[r][-1], and a pivot swaps basis[r] with nonbasic[c].
+    The tableau is fraction-free: row r holds integers over one positive
+    denominator dens[r], and the objective row integers over obj_den, each
+    divided by the gcd of its entries after every update (Bareiss, Math.
+    Comp. 22, 1968).  Every test Bland's rule makes is a sign or a
+    cross-multiplied ratio, so the pivots are those of a Fraction tableau.
     maximize() can be called repeatedly with different objectives; freezing
     the nonbasic variables that carry a negative reduced cost restricts
     later calls to the current optimal face.
@@ -263,53 +266,71 @@ class _Simplex:
     def __init__(self, a_rows, b):
         self.nvars = len(a_rows[0]) if a_rows else 0
         self.m = len(a_rows)
+        b = [as_int(v) for v in b]
         assert all(v >= 0 for v in b), "single-phase start needs b >= 0"
-        self.rows = [[Fraction(v) for v in row] + [Fraction(bi)]
+        self.rows = [[as_int(v) for v in row] + [bi]
                      for row, bi in zip(a_rows, b)]
+        self.dens = [1] * self.m
         self.basis = list(range(self.nvars, self.nvars + self.m))
         self.nonbasic = list(range(self.nvars))
         self.obj = None
+        self.obj_den = 1
 
     def _pivot(self, pr, pc):
         row = self.rows[pr]
-        inv = 1 / row[pc]
-        row = [v * inv for v in row]
-        row[pc] = inv   # the column now holds the leaving variable
-        self.rows[pr] = row
-        nonzero = [(c, v) for c, v in enumerate(row) if v]
-        for other in itertools.chain(self.rows, (self.obj,)):
-            f = other[pc]
-            if f and other is not row:
-                other[pc] = 0
-                for c, v in nonzero:
-                    other[c] -= f * v
+        p = row[pc]     # positive: the ratio test only takes a > 0
+        # row / p, with the column now holding the leaving variable; the
+        # entries are those of the old row and denominator, so their gcd
+        # stays 1
+        row[pc] = self.dens[pr]
+        self.dens[pr] = p
+        for r, other in enumerate(self.rows):
+            if r != pr and other[pc]:
+                self.rows[r], self.dens[r] = _eliminate(
+                    other, self.dens[r], row, p, pc)
+        if self.obj[pc]:
+            self.obj, self.obj_den = _eliminate(
+                self.obj, self.obj_den, row, p, pc)
         self.basis[pr], self.nonbasic[pc] = self.nonbasic[pc], self.basis[pr]
 
     def maximize(self, costs, frozen=frozenset()):
-        costs = [Fraction(v) for v in costs] + [Fraction(0)] * self.m
-        obj = [costs[j] for j in self.nonbasic] + [Fraction(0)]
+        costs = [as_int(v) for v in costs] + [0] * self.m
+        obj, den = [costs[j] for j in self.nonbasic] + [0], 1
         for r, bj in enumerate(self.basis):
-            if costs[bj]:
-                f = costs[bj]
-                obj = [a - f * b for a, b in zip(obj, self.rows[r])]
-        self.obj = obj
+            f = costs[bj]
+            if f:
+                # obj / den - f * rows[r] / dens[r]
+                d = self.dens[r]
+                f *= den
+                obj, den = _reduced(
+                    [a * d - f * b for a, b in zip(obj, self.rows[r])],
+                    den * d)
+        self.obj, self.obj_den = obj, den
         for _ in range(self.MAX_PIVOTS):
+            obj = self.obj
             entering = [(j, c) for c, j in enumerate(self.nonbasic)
                         if obj[c] > 0 and j not in frozen]
             if not entering:
-                return -obj[-1]
+                return Fraction(-obj[-1], self.obj_den)
             pc = min(entering)[1]
-            best = None
+            # the least ratio rows[r][-1] / rows[r][pc] over a > 0, compared
+            # by cross-multiplication (the row denominators cancel), ties
+            # to the lower basis index
+            pr = None
             for r, row in enumerate(self.rows):
                 a = row[pc]
                 if a > 0:
-                    cand = (row[-1] / a, self.basis[r], r)
-                    if best is None or cand < best:
-                        best = cand
-            if best is None:
+                    if pr is None:
+                        pr, pa, pb = r, a, row[-1]
+                        continue
+                    lhs, rhs = row[-1] * pa, pb * a
+                    if lhs < rhs or (lhs == rhs
+                                     and self.basis[r] < self.basis[pr]):
+                        pr, pa, pb = r, a, row[-1]
+            if pr is None:
                 raise RuntimeError("linear program unbounded; the alcove "
                                    "constraints should make it compact")
-            self._pivot(best[2], pc)
+            self._pivot(pr, pc)
         raise RuntimeError("simplex pivot guard exceeded")
 
     def frozen_nonbasic(self):
@@ -320,8 +341,28 @@ class _Simplex:
         x = [Fraction(0)] * self.nvars
         for r, bj in enumerate(self.basis):
             if bj < self.nvars:
-                x[bj] = self.rows[r][-1]
+                x[bj] = Fraction(self.rows[r][-1], self.dens[r])
         return tuple(x)
+
+
+def _eliminate(other, den, row, p, pc):
+    """Row other / den after the pivot on column pc: other / den minus
+    other[pc] / den times row / p, the pivot row whose entry at pc already
+    holds the leaving variable's.  Returns (ints, den) reduced; other is
+    overwritten."""
+    f = other[pc]
+    other[pc] = 0
+    g = gcd(f, p)
+    f, q = f // g, p // g
+    return _reduced([a * q - f * b for a, b in zip(other, row)], den * q)
+
+
+def _reduced(row, den):
+    """(row, den) divided by the gcd of all its entries."""
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
 
 
 def _affine_rank(points):
@@ -366,10 +407,12 @@ def check_certificate(rs: RootSystem, n, rows, j, witness):
     rank = rs.rank
     if len(witness) != n * rank:
         return False
-    for k in range(n):
-        if not rs.in_alcove(CartanPoint(tuple(witness[k * rank:(k + 1) * rank]))):
-            return False
     x, den = _integral(witness)
+    # each block in the closed alcove: m >= 0 and theta(m) <= 1
+    if any(v < 0 for v in x) or any(
+            sum(map(mul, rs.highest_root, x[k * rank:(k + 1) * rank])) > den
+            for k in range(n)):
+        return False
     return all((sum(map(mul, coeffs, x)) > rhs * den) == (i == j)
                for i, (coeffs, rhs) in enumerate(rows))
 
@@ -506,6 +549,10 @@ def irredundancy_check(rs: RootSystem, n, inequalities, workers=None) -> Irredun
     orbits = _orbits(system)
     reps = [rep for rep, _ in orbits]
     if workers and workers > 1:
+        # imported here: the pool machinery costs every CLI start about
+        # 20 ms, and a serial run never uses it
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=get_context("spawn"),
                                  initializer=_init_worker,
@@ -545,11 +592,14 @@ def distinctness_check(inequalities) -> DistinctnessReport:
     canon = {}
     pairs = []
     for idx, q in enumerate(inequalities):
-        vec = [c for wgt in q.lhs_weights for c in wgt.coords]
-        vec.append(Fraction(q.rhs))
-        scale = next((v for v in vec if v != 0), None)
-        assert scale is not None, "inequality with an all-zero form"
-        key = tuple(Fraction(v) / scale for v in vec)
+        vec, _ = _integral([c for wgt in q.lhs_weights for c in wgt.coords]
+                           + [q.rhs])
+        # the primitive integer vector on the ray, its first nonzero
+        # entry positive
+        lead = next((v for v in vec if v != 0), None)
+        assert lead is not None, "inequality with an all-zero form"
+        g = gcd(*vec) if lead > 0 else -gcd(*vec)
+        key = tuple(v // g for v in vec)
         if key in canon:
             pairs.append((canon[key], idx))
         else:

@@ -12,6 +12,8 @@ __all__ = ["as_int", "poly_add", "poly_mul", "row_reduce", "solve"]
 
 
 def as_int(x):
+    if type(x) is int:
+        return x
     f = Fraction(x)
     if f.denominator != 1:
         raise AssertionError(f"expected an integer, got {f}")

@@ -190,8 +190,10 @@ def test_type_parsing(run):
                          ["inequalities", "member", "verify", "oracle-compare"])
 @pytest.mark.parametrize("n", ["1", "0"])
 def test_too_few_factors_rejected(run, tmp_path, command, n):
-    path = points_file(tmp_path, [["1/2", "1/4"]])
-    code, out, err = run(command, "--type", "A2", "-n", n, "--point", path)
+    argv = [command, "--type", "A2", "-n", n]
+    if command in ("member", "oracle-compare"):
+        argv += ["--point", points_file(tmp_path, [["1/2", "1/4"]])]
+    code, out, err = run(*argv)
     assert code == 2 and out == ""
     assert err == f"error: -n must be at least 2, got {n}\n"
 
@@ -392,6 +394,22 @@ def test_bad_arguments_are_one_line_exit_2(run, argv):
     code, out, err = run(*argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, ignored", [
+    (["tables", "--type", "B2", "--parabolic", "1"], ["--workers", "0"]),
+    (["inequalities", "--type", "A1", "-n", "3"], ["--point", "pts.json"]),
+    (["member", "--type", "A1", "-n", "3", "--point", "pts.json"],
+     ["--parabolic", "1"]),
+    (["verify", "--type", "A1", "-n", "3"], ["--seed", "1"]),
+    (["oracle-compare", "--type", "A1", "-n", "3", "--point", "pts.json"],
+     ["--workers", "2"]),
+])
+def test_options_a_command_does_not_read_exit_2(run, argv, ignored):
+    # refused by the parser, before the point file is read
+    code, out, err = run(*argv, *ignored)
+    assert (code, out) == (2, "")
+    assert err == f"error: unrecognized arguments: {' '.join(ignored)}\n"
 
 
 def test_help_still_exits_0(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -176,6 +177,10 @@ def test_check_certificate_rejects_tampered_witnesses():
     assert not check("3/4", "1/2")    # also violates x0 + x1 <= 1
     assert not check("1/2", 0)        # only reaches its own bound
     assert not check("3/4")           # one coordinate short
+    # A2: both coordinates nonnegative but theta(m) = 5/4 > 1
+    a2 = build_root_system("A", 2)
+    assert not ec.check_certificate(a2, 1, [((2, 0), 1)], 0, (F(3, 4), F(1, 2)))
+    assert ec.check_certificate(a2, 1, [((2, 0), 1)], 0, (F(3, 4), F(1, 4)))
 
 
 def test_small_n_warns(a1_n3):
@@ -184,16 +189,22 @@ def test_small_n_warns(a1_n3):
         ec.irredundancy_check(A1, 2, qs)
 
 
+def _scaled(q, factor):
+    return dataclasses.replace(
+        q,
+        lhs_weights=tuple(Weight(tuple(factor * c for c in w.coords))
+                          for w in q.lhs_weights),
+        rhs=factor * q.rhs)
+
+
 def test_distinctness(a1_n3):
     assert ec.distinctness_check(a1_n3).pairs == ()
     q = a1_n3[0]
     assert ec.distinctness_check([q, q]).pairs == ((0, 1),)
-    doubled = dataclasses.replace(
-        q,
-        lhs_weights=tuple(Weight(tuple(2 * c for c in w.coords))
-                          for w in q.lhs_weights),
-        rhs=2 * q.rhs)
-    assert ec.distinctness_check([q, doubled]).pairs == ((0, 1),)
+    assert ec.distinctness_check([q, _scaled(q, 2)]).pairs == ((0, 1),)
+    # a fractional or a negative factor is still proportional
+    third, negated = _scaled(q, Fraction(1, 3)), _scaled(q, -1)
+    assert ec.distinctness_check([q, third, negated]).pairs == ((0, 1), (0, 2))
 
 
 def test_baseline_superset():
@@ -345,3 +356,127 @@ def test_certify_payload_uncertified():
     ok, method, opt, witness = ec._certify_payload(
         _lp([1, 0], [[1, 1]], [1], 1))
     assert (ok, method, opt, witness) == (False, "uncertified", 1, ())
+
+
+class _FractionSimplex:
+    """The simplex as it ran on a Fraction tableau, kept as the reference
+    for the integer one: the same Bland's rule, ratio test and condensed
+    tableau, with every entry a Fraction."""
+
+    def __init__(self, a_rows, b):
+        self.nvars = len(a_rows[0]) if a_rows else 0
+        self.m = len(a_rows)
+        self.rows = [[Fraction(v) for v in row] + [Fraction(bi)]
+                     for row, bi in zip(a_rows, b)]
+        self.basis = list(range(self.nvars, self.nvars + self.m))
+        self.nonbasic = list(range(self.nvars))
+        self.obj = None
+
+    def _pivot(self, pr, pc):
+        row = self.rows[pr]
+        inv = 1 / row[pc]
+        row = [v * inv for v in row]
+        row[pc] = inv
+        self.rows[pr] = row
+        nonzero = [(c, v) for c, v in enumerate(row) if v]
+        for other in itertools.chain(self.rows, (self.obj,)):
+            f = other[pc]
+            if f and other is not row:
+                other[pc] = 0
+                for c, v in nonzero:
+                    other[c] -= f * v
+        self.basis[pr], self.nonbasic[pc] = self.nonbasic[pc], self.basis[pr]
+
+    def maximize(self, costs, frozen=frozenset()):
+        costs = [Fraction(v) for v in costs] + [Fraction(0)] * self.m
+        obj = [costs[j] for j in self.nonbasic] + [Fraction(0)]
+        for r, bj in enumerate(self.basis):
+            if costs[bj]:
+                f = costs[bj]
+                obj = [a - f * b for a, b in zip(obj, self.rows[r])]
+        self.obj = obj
+        while True:
+            entering = [(j, c) for c, j in enumerate(self.nonbasic)
+                        if obj[c] > 0 and j not in frozen]
+            if not entering:
+                return -obj[-1]
+            pc = min(entering)[1]
+            best = None
+            for r, row in enumerate(self.rows):
+                a = row[pc]
+                if a > 0:
+                    cand = (row[-1] / a, self.basis[r], r)
+                    if best is None or cand < best:
+                        best = cand
+            assert best is not None, "unbounded"
+            self._pivot(best[2], pc)
+
+    def frozen_nonbasic(self):
+        return frozenset(j for c, j in enumerate(self.nonbasic)
+                         if self.obj[c] < 0)
+
+    def solution(self):
+        x = [Fraction(0)] * self.nvars
+        for r, bj in enumerate(self.basis):
+            if bj < self.nvars:
+                x[bj] = self.rows[r][-1]
+        return tuple(x)
+
+
+def _count_pivots(lp):
+    count = [0]
+    pivot = lp._pivot
+
+    def counted(pr, pc):
+        count[0] += 1
+        pivot(pr, pc)
+    lp._pivot = counted
+    return count
+
+
+def _random_lp(rng):
+    """A bounded LP with b >= 0: random rows plus a box on every variable;
+    about a third of the right sides are 0, which makes it degenerate."""
+    nvars = rng.randint(2, 6)
+    a_rows = [[rng.randint(-4, 4) for _ in range(nvars)]
+              for _ in range(rng.randint(1, 12))]
+    a_rows += [[int(i == j) for i in range(nvars)] for j in range(nvars)]
+    b = [0 if rng.random() < 1 / 3 else rng.randint(1, 9) for _ in a_rows]
+    return a_rows, b
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_integer_simplex_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+    a_rows, b = _random_lp(rng)
+    nvars = len(a_rows[0])
+    lp, ref = ec._Simplex(a_rows, b), _FractionSimplex(a_rows, b)
+    pivots, ref_pivots = _count_pivots(lp), _count_pivots(ref)
+
+    def same(costs, frozen=frozenset()):
+        opt = lp.maximize(costs, frozen=frozen)
+        assert type(opt) is Fraction
+        assert opt == ref.maximize(costs, frozen=frozen)
+        assert lp.solution() == ref.solution()
+        assert (lp.basis, lp.nonbasic) == (ref.basis, ref.nonbasic)
+        assert pivots == ref_pivots
+        assert lp.frozen_nonbasic() == ref.frozen_nonbasic()
+
+    for _ in range(3):
+        same([rng.randint(-5, 5) for _ in range(nvars)])
+    # the face LP of _certify_payload: each signed axis over the optimal face
+    same([rng.randint(-5, 5) for _ in range(nvars)])
+    frozen = lp.frozen_nonbasic()
+    for j in range(nvars):
+        for sign in (1, -1):
+            same([sign * int(i == j) for i in range(nvars)], frozen)
+
+
+@pytest.mark.parametrize("t, r, n", [
+    ("B", 2, 3), ("G", 2, 3), ("A", 2, 4), ("B", 3, 3), ("C", 3, 3)])
+def test_irredundancy_matches_fraction_reference(t, r, n, monkeypatch):
+    rs = build_root_system(t, r)
+    qs = ec.generate_inequalities(rs, n)
+    report = ec.irredundancy_check(rs, n, qs)
+    monkeypatch.setattr(ec, "_Simplex", _FractionSimplex)
+    assert report == ec.irredundancy_check(rs, n, qs)
