@@ -3,8 +3,8 @@ system of the multiplicative eigenvalue polytope."""
 
 from .root_system import (CartanPoint, RootSystem, Weight, build_root_system,
                           kappa, kappa_inv, killing_form)
-from .weyl import (ParabolicContext, WeylElement, WeylGroup, chi,
-                   enumerate_weyl, get_weyl_group, minimal_reps, s_matrix)
+from .weyl import (ParabolicContext, WeylElement, chi, enumerate_weyl,
+                   minimal_reps, s_matrix)
 from .quantum_ring import QuantumTable, build_structure_table, gw_invariant
 from .deformed_ring import (DeformedElement, a_exponent, deformed_coeff_tuple,
                             deformed_product, is_levi_movable, render_table)
@@ -19,8 +19,8 @@ from .unitary_oracle import (GroupRep, OracleVerdict, group_rep,
 __all__ = [
     "CartanPoint", "RootSystem", "Weight", "build_root_system",
     "kappa", "kappa_inv", "killing_form",
-    "ParabolicContext", "WeylElement", "WeylGroup", "chi",
-    "enumerate_weyl", "get_weyl_group", "minimal_reps", "s_matrix",
+    "ParabolicContext", "WeylElement", "chi", "enumerate_weyl",
+    "minimal_reps", "s_matrix",
     "QuantumTable", "build_structure_table", "gw_invariant",
     "DeformedElement", "a_exponent", "deformed_coeff_tuple",
     "deformed_product", "is_levi_movable", "render_table",

@@ -24,7 +24,7 @@ from .quantum_ring import build_structure_table
 from .root_system import build_root_system
 from .unitary_oracle import (check_search_settings, numeric_membership,
                              rep_for_root_system, su2_reference_membership)
-from .weyl import minimal_reps
+from .weyl import check_group_order, minimal_reps
 
 FORMAT_VERSION = 1
 
@@ -136,6 +136,7 @@ def _store_table(path, table):
 
 def _root_system(args):
     try:
+        check_group_order(args.type, args.rank)
         return build_root_system(args.type, args.rank)
     except ValueError as exc:
         raise InputError(str(exc)) from exc

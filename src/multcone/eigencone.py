@@ -83,7 +83,7 @@ def register_table(table):
     disk) so later enumerations reuse it."""
     ctx = table.ctx
     (ip,) = sorted(ctx.s_p)
-    rs = ctx.group.rs
+    rs = ctx.rs
     _TABLES[(rs.type_label, rs.rank, ip)] = table
     return table
 

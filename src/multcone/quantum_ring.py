@@ -30,7 +30,8 @@ exhaustive associativity.
 import itertools
 
 from .exact import as_int, poly_add, poly_mul, solve
-from .weyl import ParabolicContext
+from .weyl import (ParabolicContext, _element_at, _left_simple, _matmul,
+                   _reflect)
 
 __all__ = [
     "chevalley_operator", "build_structure_table", "QuantumTable",
@@ -48,7 +49,7 @@ def chevalley_operator(ctx: ParabolicContext, i):
     """
     if i not in ctx.s_p:
         raise ValueError(f"index {i} is not in S_P = {sorted(ctx.s_p)}")
-    rs, g = ctx.rs, ctx.group
+    rs = ctx.rs
     qs = sorted(ctx.s_p)
     zero = (0,) * len(qs)
     # (coefficient, q-degree, reflection, q-codimension) per root; roots
@@ -59,15 +60,18 @@ def chevalley_operator(ctx: ParabolicContext, i):
         coeff = as_int(cov[i - 1])
         if coeff:
             d = tuple(as_int(cov[j - 1]) for j in qs)
-            reflections.append((coeff, d, g.reflection(alpha), ctx.q_codim(d)))
+            # s_alpha is the element taking rho to rho - rho(alpha^vee) alpha
+            refl = _element_at(rs, tuple(1 - as_int(sum(cov)) * f
+                                         for f in rs.root_fund[alpha]))
+            reflections.append((coeff, d, refl.matrix, ctx.q_codim(d)))
     out = {}
     for w in ctx.wp:
         terms = {}
         for coeff, d, refl, degq in reflections:
-            ws = g.mult(w, refl)
-            if ws in ctx.wp_index and ws.length == w.length + 1:
-                poly_add(terms, {(ws, zero): coeff})
-            wmin = ctx.min_rep(ws)
+            ws = _matmul(w.matrix, refl)
+            wmin = ctx.coset(ws)
+            if wmin.matrix == ws and wmin.length == w.length + 1:
+                poly_add(terms, {(wmin, zero): coeff})
             if wmin.length == w.length + 1 - degq:
                 poly_add(terms, {(wmin, d): coeff})
         out[w] = terms
@@ -86,25 +90,23 @@ def _restrictions(ctx):
     product is a suffix of u and stays in W^P.  Only nonzero values are
     kept.
     """
-    g, rs = ctx.group, ctx.rs
-    alpha_fund = [rs.root_fund[tuple(int(j == k) for j in range(rs.rank))]
-                  for k in range(rs.rank)]
+    rs = ctx.rs
+    # the height of beta_j is <alpha_{i_j}, u^{-1} rho^vee> for u the prefix
+    # s_{i_1} ... s_{i_{j-1}}: walk rho^vee along the word in coweights
+    cocartan = tuple(zip(*rs.cartan))
     xi = {}
     for w in ctx.wp:
-        heights = []
-        prefix = g.identity
+        heights, v = [], (1,) * rs.rank
         for i in w.word:
-            sign, root = g.roots_fund[prefix.act_fund(alpha_fund[i - 1])]
-            assert sign > 0, ("word is not reduced", str(w))
-            heights.append(sum(root))
-            prefix = g.mult_simple(prefix, i)
-        assert prefix == w, str(w)
-        vals = {g.identity: 1}
+            assert v[i - 1] > 0, ("word is not reduced", str(w))
+            heights.append(v[i - 1])
+            v = _reflect(cocartan, i - 1, v)
+        vals = {ctx.wp[0]: 1}
         for i, h in zip(reversed(w.word), reversed(heights)):
-            si = g.simple(i)
             for x, val in list(vals.items()):
-                y = g.mult(si, x)
-                if y.length > x.length and y in ctx.wp_index:
+                m = _left_simple(rs.cartan, i - 1, x.matrix)
+                y = ctx.coset(m)
+                if y.matrix == m and y.length > x.length:
                     vals[y] = vals.get(y, 0) + val * h
         xi[w] = vals
     return xi
@@ -196,8 +198,8 @@ class QuantumTable:
                     rev_chev[i].setdefault(x, {})[(y, e)] = c
 
         # the two classical sources must agree where they overlap
-        for i in self.q_index:
-            si = ctx.group.simple(i)
+        for si in ctx.by_length(1):
+            i = si.word[0]
             for v in ctx.wp:
                 from_chev = {w: c for (w, dd), c in self.chevalley[i][v].items()
                              if not any(dd)}
@@ -336,7 +338,7 @@ class QuantumTable:
 
     def _verify(self):
         ctx = self.ctx
-        e = ctx.group.identity
+        e = ctx.wp[0]
         for x in ctx.wp:
             assert self.tau[(e, x)] == {(x, self.zero_d): 1}, str(x)
         for (u, x), poly in self.tau.items():

@@ -14,7 +14,7 @@ from .exact import solve
 
 __all__ = [
     "Weight", "CartanPoint", "RootSystem", "build_root_system",
-    "killing_form", "kappa", "kappa_inv",
+    "check_simple_type", "killing_form", "kappa", "kappa_inv",
 ]
 
 
@@ -126,6 +126,12 @@ def _bonds(type_label, n):
     raise AssertionError(type_label)
 
 
+def check_simple_type(type_label, rank):
+    """Raise ValueError unless (type_label, rank) names a simple type."""
+    if type_label not in _VALID_RANK or not _VALID_RANK[type_label](rank):
+        raise ValueError(f"unknown or invalid simple type ({type_label!r}, {rank})")
+
+
 def _invert(mat):
     """Exact inverse of a square matrix: one solve against the identity."""
     n = len(mat)
@@ -143,8 +149,7 @@ class RootSystem:
     """
 
     def __init__(self, type_label, rank):
-        if type_label not in _VALID_RANK or not _VALID_RANK[type_label](rank):
-            raise ValueError(f"unknown or invalid simple type ({type_label!r}, {rank})")
+        check_simple_type(type_label, rank)
         self.type_label = type_label
         self.rank = rank
         n = rank
@@ -181,6 +186,8 @@ class RootSystem:
         # beta(alpha_i^vee) for every positive root beta, read by the Weyl layer
         self.root_fund = {r: tuple(self.root_pairing(r, i) for i in range(1, n + 1))
                           for r in self.positive_roots}
+        # and back: a root is positive iff its coordinates are a key here
+        self.fund_root = {f: r for r, f in self.root_fund.items()}
 
         self.inverse_cartan = _invert(self.cartan)
 

@@ -1,11 +1,11 @@
 """Weyl groups, parabolic quotients and the boundary characters chi_w.
 
 Elements are stored by their exact integer action matrix on the
-fundamental-weight basis; reduced words are the lexicographically minimal
-ones, found by breadth-first closure.  Group orders come from Kostant's
-formula, so a group above DEFAULT_GROUP_BOUND is refused before any
-element is built, and a coset w W_P is read off the weight w(lambda_P).
-Words render as "s1 s2 s1", the identity as "e".
+fundamental-weight basis and their lexicographically minimal reduced word.
+W^P is walked as the orbit of lambda_P, each point w(lambda_P) naming the
+minimal representative w of its coset, and W as the orbit of rho; a group
+above DEFAULT_GROUP_BOUND is refused before any element is built.  Words
+render as "s1 s2 s1", the identity as "e".
 """
 
 import math
@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import as_int
-from .root_system import RootSystem, Weight, CartanPoint
+from .root_system import RootSystem, Weight, CartanPoint, check_simple_type
 
 __all__ = [
-    "WeylElement", "WeylGroup", "ParabolicContext",
-    "enumerate_weyl", "get_weyl_group", "minimal_reps", "chi", "s_matrix",
-    "render_word", "weyl_order",
+    "WeylElement", "ParabolicContext", "enumerate_weyl", "minimal_reps",
+    "chi", "s_matrix", "render_word", "weyl_order", "simple_weyl_order",
+    "check_group_order",
 ]
 
 DEFAULT_GROUP_BOUND = 10 ** 6
@@ -64,14 +64,11 @@ class WeylElement:
         return len(self.word)
 
     def act(self, w: Weight) -> Weight:
-        return Weight(tuple(
-            sum(row[j] * w.coords[j] for j in range(len(row)) if row[j])
-            for row in self.matrix))
+        return Weight(_apply(self.matrix, w.coords))
 
     def act_fund(self, coords):
         """Action on an integer vector of fundamental coordinates."""
-        return tuple(sum(row[j] * coords[j] for j in range(len(row)) if row[j])
-                     for row in self.matrix)
+        return _apply(self.matrix, coords)
 
     def __repr__(self):
         return f"W[{render_word(self.word)}]"
@@ -80,115 +77,90 @@ class WeylElement:
         return render_word(self.word)
 
 
-def _simple_matrices(rs: RootSystem):
-    n = rs.rank
-    mats = []
-    for k in range(n):
-        # s_k: f |-> f - f_k * (fundamental coordinates of alpha_k)
-        mats.append(tuple(tuple((1 if i == j else 0) - (rs.cartan[i][k] if j == k else 0)
-                                for j in range(n)) for i in range(n)))
-    return tuple(mats)
-
-
 def _matmul(a, b):
     n = len(a)
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n) if a[i][k])
                        for j in range(n)) for i in range(n))
 
 
-class WeylGroup:
-    """The full Weyl group of a root system, enumerated once and indexed by matrix."""
-
-    def __init__(self, rs: RootSystem):
-        order = weyl_order(rs.positive_roots)
-        if order > DEFAULT_GROUP_BOUND:
-            raise RuntimeError(
-                f"the Weyl group of {rs.type_label}{rs.rank} has {order} "
-                f"elements, above the bound {DEFAULT_GROUP_BOUND}")
-        self.rs = rs
-        n = rs.rank
-        self.simple_matrices = _simple_matrices(rs)
-        self.identity_matrix = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-        # fundamental coordinates of every root, for sign lookups
-        self.roots_fund = {}
-        for r, f in rs.root_fund.items():
-            self.roots_fund[f] = (1, r)
-            self.roots_fund[tuple(-x for x in f)] = (-1, r)
-
-        # breadth-first closure; words are appended on the right in ascending
-        # generator order, so the first word reaching an element is its
-        # lexicographically minimal reduced word
-        seen = {self.identity_matrix: ()}
-        level = [(self.identity_matrix, ())]
-        ordered = [(self.identity_matrix, ())]
-        while level:
-            nxt = []
-            for mat, word in level:
-                for k in range(n):
-                    m2 = _matmul(mat, self.simple_matrices[k])
-                    if m2 not in seen:
-                        w2 = word + (k + 1,)
-                        seen[m2] = w2
-                        nxt.append((m2, w2))
-            level = nxt
-            ordered.extend(nxt)
-        assert len(ordered) == order, (rs, len(ordered), order)
-
-        self.elements = [WeylElement(m, w) for m, w in ordered]
-        self.by_matrix = {e.matrix: e for e in self.elements}
-        self.identity = self.elements[0]
-        self.longest = self.elements[-1]
-        assert all(e.length < self.longest.length for e in self.elements[:-1]), \
-            "longest element must be unique"
-
-    def simple(self, i):
-        """The generator s_i, 1-indexed."""
-        return self.by_matrix[self.simple_matrices[i - 1]]
-
-    def mult(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        return self.by_matrix[_matmul(a.matrix, b.matrix)]
-
-    def mult_simple(self, a: WeylElement, i) -> WeylElement:
-        return self.by_matrix[_matmul(a.matrix, self.simple_matrices[i - 1])]
-
-    def inverse(self, a: WeylElement) -> WeylElement:
-        m = self.identity_matrix
-        for i in reversed(a.word):
-            m = _matmul(m, self.simple_matrices[i - 1])
-        return self.by_matrix[m]
-
-    def root_sign(self, w: WeylElement, root):
-        """Sign of w(alpha) for a positive root alpha in root coordinates."""
-        return self.roots_fund[w.act_fund(self.rs.root_fund[root])][0]
-
-    def length_by_inversions(self, w: WeylElement):
-        return sum(1 for f in self.rs.root_fund.values()
-                   if self.roots_fund[w.act_fund(f)][0] < 0)
-
-    def reflection(self, root):
-        """The reflection s_beta for a positive root in root coordinates."""
-        n = self.rs.rank
-        cov = self.rs.coroot(root)
-        fund = self.rs.root_fund[root]
-        mat = tuple(tuple((1 if i == j else 0) - as_int(cov[j] * fund[i])
-                          for j in range(n)) for i in range(n))
-        return self.by_matrix[mat]
+def _apply(m, coords):
+    return tuple(sum(row[j] * coords[j] for j in range(len(row)) if row[j])
+                 for row in m)
 
 
-_GROUPS = {}
+def _reflect(cartan, k, p):
+    """s_{k+1} on fundamental coordinates: p minus p_k times alpha_{k+1}."""
+    c = p[k]
+    return tuple(x - row[k] * c for x, row in zip(p, cartan)) if c else p
 
 
-def get_weyl_group(rs: RootSystem) -> WeylGroup:
-    key = (rs.type_label, rs.rank)
-    if key not in _GROUPS:
-        _GROUPS[key] = WeylGroup(rs)
-    return _GROUPS[key]
+def _left_simple(cartan, k, m):
+    """The action matrix of s_{k+1} w from that of w: a row operation."""
+    mk = m[k]
+    return tuple(tuple(a - row[k] * b for a, b in zip(mr, mk)) if row[k] else mr
+                 for mr, row in zip(m, cartan))
+
+
+def _orbit(rs: RootSystem, lam):
+    """The orbit of a dominant integral weight lam as a dict from each
+    point q to the minimal representative w with w(lam) = q, named by
+    _element_at, in (length, lex word) order.  A point p reaches s_i p one
+    length up iff p_i > 0."""
+    orbit, level = {}, {lam}
+    while level:
+        new = {q: _element_at(rs, q) for q in level}
+        orbit.update(sorted(new.items(), key=lambda item: item[1].word))
+        level = {_reflect(rs.cartan, i, p) for p in new
+                 for i, c in enumerate(p) if c > 0}
+    return orbit
+
+
+def _element_at(rs: RootSystem, x):
+    """The minimal representative w with w(lam) = x, for x in the orbit of
+    a dominant weight lam.  The left descents of w are the indices where x
+    is negative, so walking x down to lam along its least negative index
+    spells w's lexicographically minimal reduced word.  With lam = rho
+    every element is its own representative."""
+    word = []
+    while any(c < 0 for c in x):
+        i = next(k for k, c in enumerate(x) if c < 0)
+        word.append(i + 1)
+        x = _reflect(rs.cartan, i, x)
+    m = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
+    for i in reversed(word):
+        m = _left_simple(rs.cartan, i - 1, m)
+    return WeylElement(m, tuple(word))
+
+
+def simple_weyl_order(type_label, rank):
+    """Order of the Weyl group of a simple type by its closed form, with no
+    root system built (Bourbaki, Lie Groups, ch. VI, Plates I-IX)."""
+    n, f = rank, math.factorial(rank)
+    return {"A": (n + 1) * f, "B": 2 ** n * f, "C": 2 ** n * f,
+            "D": 2 ** (n - 1) * f, "F": 1152, "G": 12,
+            "E": {6: 51840, 7: 2903040, 8: 696729600}.get(n)}[type_label]
+
+
+def check_group_order(type_label, rank):
+    """The order of the Weyl group of a simple type, read off its closed
+    form with nothing built.  Raises ValueError for an invalid type and
+    RuntimeError above DEFAULT_GROUP_BOUND; above rank 1000, where every
+    family has more than 10^rank elements, the order is not worked out."""
+    check_simple_type(type_label, rank)
+    order = simple_weyl_order(type_label, rank) if rank <= 1000 else None
+    if order is None or order > DEFAULT_GROUP_BOUND:
+        raise RuntimeError(
+            f"the Weyl group of {type_label}{rank} has "
+            f"{order or f'more than 10^{rank}'} elements, "
+            f"above the bound {DEFAULT_GROUP_BOUND}")
+    return order
 
 
 def enumerate_weyl(rs: RootSystem):
-    """All Weyl group elements, sorted by (length, lex word)."""
-    return list(get_weyl_group(rs).elements)
+    """All Weyl group elements, sorted by (length, lex word): the orbit of
+    rho, whose stabilizer is trivial."""
+    check_group_order(rs.type_label, rs.rank)
+    return list(_orbit(rs, (1,) * rs.rank).values())
 
 
 class ParabolicContext:
@@ -210,7 +182,7 @@ class ParabolicContext:
             raise ValueError(f"S_P indices out of range 1..{rs.rank}: {sorted(s_p)}")
         self.rs = rs
         self.s_p = s_p
-        self.group = get_weyl_group(rs)
+        order = check_group_order(rs.type_label, rs.rank)
 
         # Levi positive roots: support inside Delta_P
         self.levi_pos = tuple(r for r in rs.positive_roots
@@ -226,27 +198,25 @@ class ParabolicContext:
         self.rho_l = rs.weight_from_root_coords(half)
 
         # W_P fixes exactly lambda_P = sum of omega_i over S_P, so w W_P is
-        # the point w(lambda_P); in (length, lex word) order the first
-        # element to reach a point is its minimal representative
-        g = self.group
+        # the point w(lambda_P): W^P is the orbit of lambda_P
         self._lambda_p = tuple(int(i in s_p) for i in range(1, rs.rank + 1))
-        self._coset = {}
-        for w in g.elements:
-            self._coset.setdefault(w.act_fund(self._lambda_p), w)
+        self._coset = _orbit(rs, self._lambda_p)
         self.wp = list(self._coset.values())
-        assert len(self.wp) == len(g.elements) // weyl_order(self.levi_pos), \
+        assert len(self.wp) == order // weyl_order(self.levi_pos), \
             "coset representative count mismatch"
         self.wp_index = {w: k for k, w in enumerate(self.wp)}
 
-        # w_o = w^P w_o^P with w^P the longest minimal representative
-        self.w_o = g.longest
-        self.w_o_p = g.mult(g.inverse(self.wp[-1]), self.w_o)
+        # w_o = w^P w_o^P with w^P the longest minimal representative;
+        # both are read off their points in the regular orbit of rho
+        self.w_o = _element_at(rs, (-1,) * rs.rank)
+        self.w_o_p = _element_at(rs, self.inverse_act(self.wp[-1], (-1,) * rs.rank))
         assert self.w_o_p.length == len(self.levi_pos), "w_o^P is not the Levi's longest"
 
         self._dual = {}
         for w in self.wp:
-            out = g.mult(g.mult(self.w_o, w), self.w_o_p)
-            assert out in self.wp_index, "duality left the representative set"
+            m = _matmul(_matmul(self.w_o.matrix, w.matrix), self.w_o_p.matrix)
+            out = self.coset(m)
+            assert out.matrix == m, "duality left the representative set"
             self._dual[w] = out
 
         self._chi = {}
@@ -254,7 +224,7 @@ class ParabolicContext:
             self._chi[w] = self._chi_both_ways(w)
 
         self.q_degrees = {}
-        chi_e = self._chi[self.group.identity]
+        chi_e = self.chi_e()
         for i in sorted(s_p):
             via_rho = 2 - 2 * self.rho_l.coords[i - 1]
             via_chi = chi_e.coords[i - 1]
@@ -287,15 +257,14 @@ class ParabolicContext:
         return tuple(out)
 
     def _chi_both_ways(self, w):
-        rs, g = self.rs, self.group
+        rs = self.rs
         acc = [Fraction(0)] * rs.rank
         for r in self.outside_pos:
-            if g.root_sign(w, r) > 0:
+            if w.act_fund(rs.root_fund[r]) in rs.fund_root:
                 for j, c in enumerate(r):
                     acc[j] += c
         via_sum = rs.weight_from_root_coords(acc)
-        winv = g.inverse(w)
-        via_rho = rs.rho - 2 * self.rho_l + winv.act(rs.rho)
+        via_rho = rs.rho - 2 * self.rho_l + Weight(self.inverse_act(w, rs.rho.coords))
         assert via_sum == via_rho, f"chi formulas disagree at {w}"
         return via_sum
 
@@ -310,7 +279,7 @@ class ParabolicContext:
         return self._chi[w]
 
     def chi_e(self) -> Weight:
-        return self._chi[self.group.identity]
+        return self._chi[self.wp[0]]
 
     def dual(self, w) -> WeylElement:
         """The involution w -> w_o w w_o^P of the representative set; swaps
@@ -325,6 +294,17 @@ class ParabolicContext:
         """Minimal representative of the coset v W_P, read off v(lambda_P)."""
         return self._coset[v.act_fund(self._lambda_p)]
 
+    def coset(self, m) -> WeylElement:
+        """min_rep of the element with action matrix m, which lies in W^P
+        iff the representative's matrix is m."""
+        return self._coset[_apply(m, self._lambda_p)]
+
+    def inverse_act(self, w, coords):
+        """w^{-1} on fundamental coordinates: reflect along w's word."""
+        for i in w.word:
+            coords = _reflect(self.rs.cartan, i - 1, coords)
+        return coords
+
     def q_codim(self, d):
         """The codimension sum_i d_i deg(q_i) of q^d, d indexed by sorted S_P."""
         return sum(a * b for a, b in zip(d, self._q_degree_row))
@@ -335,11 +315,10 @@ class ParabolicContext:
     def point_action(self, w, pt: CartanPoint) -> CartanPoint:
         """w acting on the Cartan subalgebra: alpha_j(w.mu) = (w^{-1} alpha_j)(mu)."""
         rs = self.rs
-        winv = self.group.inverse(w)
         out = []
         for j in range(rs.rank):
             alpha = rs.simple_root(j + 1)
-            moved = winv.act(alpha)
+            moved = Weight(self.inverse_act(w, alpha.coords))
             out.append(rs.weight_value(moved, pt))
         return CartanPoint(tuple(out))
 

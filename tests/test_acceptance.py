@@ -21,6 +21,8 @@ from multcone.root_system import (CartanPoint, build_root_system, kappa,
                                   kappa_inv, killing_form)
 from multcone.weyl import minimal_reps
 
+from weyl_reference import get_weyl_group
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -97,10 +99,10 @@ def test_criterion_02_exact_identities():
         for ip in range(1, r + 1):
             ctx = minimal_reps(rs, {ip})
             for w in ctx.wp:
-                winv = ctx.group.inverse(w)
+                winv = get_weyl_group(ctx.rs).inverse(w)
                 acc = [Fraction(0)] * r
                 for root in ctx.outside_pos:
-                    if ctx.group.root_sign(w, root) > 0:
+                    if get_weyl_group(ctx.rs).root_sign(w, root) > 0:
                         for j, c in enumerate(root):
                             acc[j] += c
                 via_sum = rs.weight_from_root_coords(acc)
@@ -290,7 +292,7 @@ def test_criterion_10_ring_laws(tables):
     for key, table in tables.items():
         ctx = table.ctx
         wp = ctx.wp
-        unit_tau = ctx.group.identity
+        unit_tau = get_weyl_group(ctx.rs).identity
         unit_sigma = ctx.dual(unit_tau)
         qd = table.q_degrees[0]
         for u in wp:

@@ -1,11 +1,14 @@
 import json
+import math
 import re
+import time
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from multcone import cli, eigencone, unitary_oracle, weyl
 from multcone.cli import main
@@ -429,3 +432,82 @@ def test_groups_above_the_bound_are_refused_before_enumeration(run, monkeypatch,
     assert (code, out) == (2, "")
     assert err == (f"error: the Weyl group of {t} has {order} elements, "
                    "above the bound 1000000\n")
+
+
+@pytest.mark.parametrize("argv, order", [
+    (["tables", "--type", "A300", "--parabolic", "1"], math.factorial(301)),
+    (["inequalities", "--type", "A300", "-n", "3"], math.factorial(301)),
+    (["verify", "--type", "D", "--rank", "123456789012", "-n", "3"],
+     "more than 10^123456789012"),
+])
+def test_huge_ranks_are_refused_before_the_root_system(run, argv, order):
+    start = time.perf_counter()
+    code, out, err = run(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    label = "A300" if "A300" in argv else "D123456789012"
+    assert err == (f"error: the Weyl group of {label} has {order} elements, "
+                   "above the bound 1000000\n")
+
+
+# every command, real and unknown flags, junk values and huge ranks; the
+# valid types and -n stay small and --workers never asks for a pool.  Each
+# flag maps to (valid values, junk values); one value in four is junk.
+ARGV_VALUES = {
+    "--type": (["A1", "a2", "B2"],
+               ["A", "A0", "E5", "X3", "", "A300", "C2000", "D123456789012",
+                "G" + "9" * 30]),
+    "--rank": (["2"], ["0", "-1", "400", "x"]),
+    "--parabolic": (["1", "2"], ["0", "-1", "9", "x"]),
+    "-n": (["2", "3"], ["0", "-1", "x"]),
+    "--point": (["a1.json"], ["missing.json", "junk.json"]),
+    "--seed": (["0"], ["-1", "x"]),
+    "--restarts": (["1", "8"], ["0", "-3", "x"]),
+    "--tol": (["1e-8"], ["0", "-1", "nan", "x"]),
+    "--workers": (["1"], ["0", "-2", "x"]),
+    "--format": (["text", "json"], ["xml"]),
+    "--bogus": ([], ["1"]),
+    "--no-cache": ([None], []),
+    "--": ([], [None]),
+    "stray": ([], [None]),
+}
+ARGV_READS = {
+    "tables": ["--parabolic"], "inequalities": ["-n"],
+    "member": ["-n", "--point"], "verify": ["-n", "--workers"],
+    "oracle-compare": ["-n", "--point", "--seed", "--restarts", "--tol"],
+    "bogus": [],
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(ARGV_READS)))
+    often = st.sampled_from([True, True, True, False])
+    # the command's own flags, each most of the time, then up to two more
+    flags = [f for f in ["--type"] + ARGV_READS[command] if draw(often)]
+    flags += draw(st.lists(st.sampled_from(sorted(ARGV_VALUES)), max_size=2))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        valid, junk = ARGV_VALUES[flag]
+        value = draw(st.sampled_from((valid if draw(often) else junk)
+                                     or valid or junk))
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    path = tmp_path_factory.mktemp("argv")
+    (path / "junk.json").write_text("{not json")
+    (path / "a1.json").write_text(json.dumps({"points": [["1/4"]] * 3}))
+    return path
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs())
+def test_random_argv_never_crashes(run, argv_files, argv):
+    argv = [str(argv_files / a) if a.endswith(".json") else a for a in argv]
+    code, _, err = run(*argv)
+    assert code in (0, 1, 2)
+    assert sum(line.startswith("error:") for line in err.splitlines()) <= 1

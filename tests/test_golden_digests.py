@@ -47,6 +47,8 @@ DIGESTS = {
         "9a7a92562b6ce7635947ffab1bbc923a3c8b9dc27558e080955663df22579c9a",
     "tables --type A4 --parabolic 4":
         "422fe36a0efc0922699a9eb18b009671fe0c406ed78ada5bb7286615586cdb44",
+    "tables --type E6 --parabolic 1":
+        "aca94b8d88cf07426051ea0e8dbe8dbb0cb93e9315dfbf0c57179b914e0c5900",
     "inequalities --type B2 -n 3 --format json":
         "f0419e5adf201d55feff1f88d643a02063134409ba4eaa86d7b229bc6f2f4835",
     "inequalities --type G2 -n 3 --format json":

@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 from multcone.root_system import (CartanPoint, Weight, build_root_system,
                                   kappa, kappa_inv, killing_form)
 from multcone import weyl
-from multcone.weyl import WeylGroup, enumerate_weyl, minimal_reps, weyl_order
+from multcone.weyl import (enumerate_weyl, minimal_reps, simple_weyl_order,
+                           weyl_order)
+
+from weyl_reference import WeylGroup, get_weyl_group
 
 F = Fraction
 
@@ -222,7 +225,7 @@ def test_duality_swaps_length_and_codimension(t, r):
             assert v in ctx.wp_index and ctx.dual(v) == w
             assert v.length == ctx.codim(w) and ctx.codim(v) == w.length
         # a representative set short of the whole group leaves an element out
-        outside = [e for e in ctx.group.elements if e not in ctx.wp_index]
+        outside = [e for e in get_weyl_group(ctx.rs).elements if e not in ctx.wp_index]
         for e in outside[:1]:
             with pytest.raises(ValueError, match="not a minimal coset"):
                 ctx.dual(e)
@@ -234,6 +237,21 @@ def test_weyl_order_matches_enumeration(t, r):
     assert weyl_order(rs.positive_roots) == len(enumerate_weyl(rs))
 
 
+@pytest.mark.parametrize("t,r", sorted(POS_ROOT_COUNTS))
+def test_orbit_of_rho_matches_the_closure(t, r):
+    # the same matrices and words in the same (length, lex word) order
+    rs = build_root_system(t, r)
+    assert [(e.matrix, e.word) for e in enumerate_weyl(rs)] == \
+        [(e.matrix, e.word) for e in get_weyl_group(rs).elements]
+
+
+@pytest.mark.parametrize("t,r", sorted(POS_ROOT_COUNTS) + [("E", 6), ("E", 7),
+                                                           ("E", 8)])
+def test_closed_form_order_matches_kostant(t, r):
+    assert simple_weyl_order(t, r) == \
+        weyl_order(build_root_system(t, r).positive_roots)
+
+
 def test_weyl_order_of_type_e_without_enumerating(monkeypatch):
     def no_products(a, b):
         raise AssertionError("a Weyl matrix product was computed")
@@ -243,4 +261,4 @@ def test_weyl_order_of_type_e_without_enumerating(monkeypatch):
         assert weyl_order(build_root_system("E", r).positive_roots) == order
     for r in (7, 8):
         with pytest.raises(RuntimeError, match=f"E{r} has {orders[r]} elements"):
-            WeylGroup(build_root_system("E", r))
+            minimal_reps(build_root_system("E", r), {r})
