@@ -239,6 +239,10 @@ def cmd_member(args):
 def cmd_verify(args):
     rs = _root_system(args)
     n = _factors(args)
+    if n < 3:
+        # with two factors the region can have empty interior, and the
+        # certificates mean nothing
+        raise InputError(f"verify needs -n at least 3, got {n}")
     if args.workers is not None and args.workers < 1:
         raise InputError(f"--workers must be at least 1, got {args.workers}")
     _prewarm(args, rs)

@@ -77,8 +77,9 @@ def deformed_product(table: QuantumTable, u, v) -> DeformedElement:
     """
     ctx = table.ctx
     terms = {}
-    for (x, d), c in table.sigma_product(u, v).items():
-        exps = a_exponent(ctx, u, v, ctx.dual(x), d)
+    for (y, d), c in table.tau[(ctx.dual(u), ctx.dual(v))].items():
+        exps = a_exponent(ctx, u, v, y, d)
+        x = ctx.dual(y)
         assert all(e >= 0 for e in exps), \
             (str(u), str(v), str(x), d, exps)
         terms[(x, d, exps)] = c
@@ -86,23 +87,25 @@ def deformed_product(table: QuantumTable, u, v) -> DeformedElement:
 
 
 class _TauZeroProducts(dict):
-    """Degree-zero-specialized products keyed by class pair: (u, v) ->
-    {(class, d): coeff}, exponent-free terms only.  Each pair is worked out
+    """Degree-zero-specialized products of tau classes keyed by class pair:
+    (u, v) -> {(class, d): coeff}, exponent-free terms only, the exponents
+    being those of the sigma product of the duals.  Each pair is worked out
     on first lookup and stored under both orders."""
 
     def __init__(self, table):
         super().__init__()
-        # ctx and sigma only: holding the table would keep it alive as a
+        # ctx and tau only: holding the table would keep it alive as a
         # key of _TZ_CACHE
-        self.ctx, self.sigma = table.ctx, table.sigma
+        self.ctx, self.tau = table.ctx, table.tau
 
     def __missing__(self, key):
         ctx = self.ctx
         u, v = key if ctx.wp_index[key[0]] <= ctx.wp_index[key[1]] else key[::-1]
+        du, dv = ctx.dual(u), ctx.dual(v)
         out = {}
-        for (x, d), c in self.sigma[(u, v)].items():
-            if not any(a_exponent(ctx, u, v, ctx.dual(x), d)):
-                out[(x, d)] = c
+        for (y, d), c in self.tau[(u, v)].items():
+            if not any(a_exponent(ctx, du, dv, y, d)):
+                out[(y, d)] = c
         self[(u, v)] = self[(v, u)] = out
         return out
 
@@ -135,17 +138,17 @@ def deformed_coeff_tuple(table: QuantumTable, classes, degree):
 
 
 def _witness_chain(table, classes, degree):
-    """A chain of intermediate classes threading the specialized products,
-    every step exponent-free with a nonzero coefficient; None if no chain
-    reaches the target."""
+    """A chain of intermediate tau classes threading the specialized
+    products, every step exponent-free with a nonzero coefficient; None if
+    no chain reaches the target."""
     ctx = table.ctx
     products = _tau_zero_products(table)
-    target = (ctx.dual(classes[-1]), degree)
+    target = (classes[-1], degree)
 
     def rec(state, k):
         if k == len(classes) - 1:
             return [] if state == target else None
-        for (x, nd0), c in products[(state[0], classes[k])].items():
+        for (x, nd0), c in products[(state[0], ctx.dual(classes[k]))].items():
             nd = tuple(a + b for a, b in zip(state[1], nd0))
             if any(a > b for a, b in zip(nd, degree)):
                 continue
@@ -154,7 +157,7 @@ def _witness_chain(table, classes, degree):
                 return [(x, nd)] + sub
         return None
 
-    return rec((classes[0], table.zero_d), 1)
+    return rec((ctx.dual(classes[0]), table.zero_d), 1)
 
 
 def is_levi_movable(table: QuantumTable, classes, degree):

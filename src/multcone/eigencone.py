@@ -7,8 +7,9 @@ n-point coefficient equals 1.  The undeformed enumeration (plain n-point
 invariant equal to 1) is kept alongside as the baseline; the deformed list
 is always a subset of it.
 
-Everything here runs on exact rationals, including the simplex solver used
-for the irredundancy certificates.
+Everything here is exact.  The simplex solver used for the irredundancy
+certificates runs on a fraction-free integer tableau whose pivots are those
+of a rational one.
 """
 
 import itertools

@@ -5,10 +5,13 @@ of codimension dim - length(u); tau[w] = sigma[dual(w)] has codimension
 length(w), which is the convenient grading for the Chevalley recursion.
 Quantum parameters carry one exponent per index in S_P (sorted order);
 a product is a dict mapping (basis element, exponent tuple) to an integer.
+A table stores the tau products only, tau[(u, v)] = {(w, d): coeff}; a
+sigma product is the tau product of the duals, relabelled by ctx.dual.
 
 Products by the codimension-one classes tau[s_i] are given in closed form by
 the quantum Chevalley rule; its classical part is cross-checked against
-the classical constants.  The rest of the table comes in two steps:
+the classical constants.  The rest of the table comes in two steps, filled
+into tau one degree at a time:
 
   * classical constants: localized on W^P alone.  Billey's formula gives
     each equivariant class tau[u] at each fixed point w at the point where
@@ -147,7 +150,9 @@ def _classical_sub_table(ctx):
 
 
 class QuantumTable:
-    """Full multiplication table of the small quantum cohomology ring."""
+    """Full multiplication table of the small quantum cohomology ring:
+    tau[(u, v)] = {(w, d): coeff} over every pair of minimal
+    representatives."""
 
     def __init__(self, ctx: ParabolicContext, preset_tau=None):
         self.ctx = ctx
@@ -159,14 +164,9 @@ class QuantumTable:
         else:
             # restored from storage: skip the solve, keep all checks
             self.tau = dict(preset_tau)
-            self._derive_sigma()
         self._verify()
 
     # --- construction ------------------------------------------------------
-
-    def _pair(self, u, v):
-        iu, iv = self.ctx.wp_index[u], self.ctx.wp_index[v]
-        return (u, v) if iu <= iv else (v, u)
 
     def _degree_vectors(self):
         """All nonzero exponent vectors reachable inside a single product,
@@ -180,136 +180,105 @@ class QuantumTable:
 
     def _build(self):
         ctx = self.ctx
-        # only the solve reads the operators, so a restored table skips them
-        self.chevalley = {i: chevalley_operator(ctx, i) for i in self.q_index}
+        zero = self.zero_d
+        # the Chevalley rule of each divisor class tau[s_i], i in S_P
+        simple = {si.word[0]: si for si in ctx.by_length(1)}
+        chevalley = {simple[i]: chevalley_operator(ctx, i) for i in self.q_index}
         classical = _classical_sub_table(ctx)
-        # solved[d][(u, v)] = {y: coeff}, keys (u, v) normalized by wp order
-        solved = {self.zero_d: {}}
-        for u in ctx.wp:
-            for v in ctx.wp:
-                if ctx.wp_index[u] <= ctx.wp_index[v]:
-                    solved[self.zero_d][(u, v)] = classical[(u, v)]
 
         # the Chevalley terms indexed by the class they land on
-        rev_chev = {i: {} for i in self.q_index}
-        for i in self.q_index:
-            for y, terms in self.chevalley[i].items():
+        rev_chev = {si: {} for si in chevalley}
+        for si, rule in chevalley.items():
+            for y, terms in rule.items():
+                # the two classical sources must agree where they overlap
+                from_chev = {w: c for (w, dd), c in terms.items() if not any(dd)}
+                assert classical[(si, y)] == from_chev, (str(si), str(y))
                 for (x, e), c in terms.items():
-                    rev_chev[i].setdefault(x, {})[(y, e)] = c
+                    rev_chev[si].setdefault(x, {})[(y, e)] = c
 
-        # the two classical sources must agree where they overlap
-        for si in ctx.by_length(1):
-            i = si.word[0]
-            for v in ctx.wp:
-                from_chev = {w: c for (w, dd), c in self.chevalley[i][v].items()
-                             if not any(dd)}
-                assert classical[(si, v)] == from_chev, (i, str(v))
+        # one degree at a time, in increasing codimension.  A product whose
+        # shorter factor is a divisor gets its degree-d terms from the
+        # Chevalley rule at the start of degree d's step (tau[s_i] * tau[s_j]
+        # from the rule of s_i), so every product lists its terms degree by
+        # degree; the other products of degree d are solved after them
+        self.tau = tau = {
+            (u, v): {} if min(u.length, v.length) == 1 else
+            {(y, zero): c for y, c in classical[(u, v)].items()}
+            for u in ctx.wp for v in ctx.wp}
+        done = set()
+        for d in [zero] + self._degree_vectors():
+            for si, rule in chevalley.items():
+                for v in ctx.wp[1:]:
+                    part = {(y, d): c for (y, dd), c in rule[v].items() if dd == d}
+                    tau[(si, v)].update(part)
+                    if v.length > 1:
+                        tau[(v, si)].update(part)
+            if any(d):
+                for (u, v, y), c in self._solve_degree(d, rev_chev, done):
+                    tau[(u, v)][(y, d)] = tau[(v, u)][(y, d)] = c
+            done.add(d)
 
-        degs = self._degree_vectors()
-        for d in degs:
-            solved[d] = self._solve_degree(d, solved, rev_chev)
-
-        self.tau = {}
-        for u in ctx.wp:
-            for v in ctx.wp:
-                poly = {}
-                for d in [self.zero_d] + degs:
-                    part = self._known_product(solved, d, u, v)
-                    for y, c in part.items():
-                        if c:
-                            poly[(y, d)] = as_int(c)
-                self.tau[(u, v)] = poly
-
-        self._derive_sigma()
-
-    def _derive_sigma(self):
-        ctx = self.ctx
-        self.sigma = {}
-        for (u, x), poly in self.tau.items():
-            self.sigma[(ctx.dual(u), ctx.dual(x))] = {
-                (ctx.dual(w), d): c for (w, d), c in poly.items()}
-
-    def _known_product(self, solved, d, u, v):
-        """The degree-d part of tau[u] * tau[v] if already determined:
-        a {y: coeff} dict, or None if (u, v) is still an unknown at d."""
-        if u.length > v.length:
-            u, v = v, u
-        degq = self.ctx.q_codim(d)
-        if not 0 <= u.length + v.length - degq <= self.ctx.dim:
-            return {}
-        if u.length == 0:
-            return {v: 1} if not any(d) else {}
-        if u.length == 1:
-            i = u.word[0]
-            return {w: c for (w, dd), c in self.chevalley[i][v].items() if dd == d}
-        sector = solved.get(d)
-        if sector is not None:
-            return sector.get(self._pair(u, v), {})
-        return None
-
-    def _solve_degree(self, d, solved, rev_chev):
+    def _solve_degree(self, d, rev_chev, done):
         """Pin down every degree-d constant not already given by the
-        Chevalley rule, using divisor associativity."""
+        Chevalley rule, using divisor associativity.  Every known constant
+        is read off tau; done holds the degrees already filled in.
+        Returns ((u, v, y), coeff) per nonzero solved constant."""
         ctx = self.ctx
+        tau = self.tau
         degq = ctx.q_codim(d)
 
         # unknowns: one per (u, v, y) with both factors of length >= 2;
-        # shorter factors are covered by the unit and the Chevalley rule
+        # shorter factors are covered by the unit and the Chevalley rule.
+        # index holds each under both factor orders
         unknowns = []
         index = {}
-        for u in ctx.wp:
-            for v in ctx.wp:
-                if ctx.wp_index[u] > ctx.wp_index[v] or u.length < 2 or v.length < 2:
+        for a, u in enumerate(ctx.wp):
+            for v in ctx.wp[a:]:
+                if u.length < 2 or v.length < 2:
                     continue
                 ly = u.length + v.length - degq
                 if 0 <= ly <= ctx.dim:
-                    for y in ctx.wp:
-                        if y.length == ly:
-                            index[(u, v, y)] = len(unknowns)
-                            unknowns.append((u, v, y))
+                    for y in ctx.by_length(ly):
+                        index[(u, v, y)] = index[(v, u, y)] = len(unknowns)
+                        unknowns.append((u, v, y))
         if not unknowns:
-            return {}
+            return []
 
         def lookup(dd, u, v, y):
             if any(a < 0 for a in dd):
                 return 0
-            poly = self._known_product(solved, dd, u, v)
-            assert poly is not None, "dependency on an unsolved degree; internal error"
-            return poly.get(y, 0)
+            assert dd in done, "dependency on an unsolved degree; internal error"
+            return tau[(u, v)].get((y, dd), 0)
 
         rows = []
-        for i in self.q_index:
+        for si, into in rev_chev.items():
             for b in ctx.wp:
                 for c in ctx.wp:
-                    lx = b.length + 1 + c.length - degq
-                    for x in ctx.wp:
-                        if x.length != lx:
-                            continue
+                    for x in ctx.by_length(b.length + 1 + c.length - degq):
                         coeffs = {}
                         rhs = 0
 
                         def add(u, v, y, scale):
                             nonlocal rhs
-                            uu, vv = (v, u) if u.length > v.length else (u, v)
-                            if y.length != uu.length + vv.length - degq:
+                            if y.length != u.length + v.length - degq:
                                 return
-                            if uu.length >= 2 and vv.length >= 2:
-                                col = index[self._pair(uu, vv) + (y,)]
+                            if u.length >= 2 and v.length >= 2:
+                                col = index[(u, v, y)]
                                 coeffs[col] = coeffs.get(col, 0) + scale
                             else:
-                                rhs -= scale * lookup(d, uu, vv, y)
+                                rhs -= scale * tau[(u, v)].get((y, d), 0)
 
                         # quantum Chevalley terms (e nonzero) land at
                         # strictly lower degree, so they are known.
                         # sum over y of chev(y -> x) * c_{d-e}(b, c; y)
-                        for (y, e), k in rev_chev[i].get(x, {}).items():
+                        for (y, e), k in into.get(x, {}).items():
                             if any(e):
                                 rhs -= k * lookup(tuple(m - n for m, n in zip(d, e)),
                                                   b, c, y)
                             else:
                                 add(b, c, y, k)
                         # minus sum over b' of chev(b -> b') * c_{d-e}(b', c; x)
-                        for (b2, e), k in self.chevalley[i][b].items():
+                        for (b2, e), k in tau[(si, b)].items():
                             if any(e):
                                 rhs += k * lookup(tuple(m - n for m, n in zip(d, e)),
                                                   b2, c, x)
@@ -319,7 +288,7 @@ class QuantumTable:
                         if coeffs:
                             rows.append((coeffs, {None: rhs}))
                         else:
-                            assert rhs == 0, (i, str(b), str(c), str(x), d)
+                            assert rhs == 0, (str(si), str(b), str(c), str(x), d)
 
         def fail():
             return (f"quantum products of {ctx.rs.type_label}{ctx.rs.rank}"
@@ -327,12 +296,8 @@ class QuantumTable:
                     f"(codimension level {degq}); this space is unsupported")
 
         sols = solve(rows, len(unknowns), fail)
-        out = {}
-        for (u, v, y), rhs in zip(unknowns, sols):
-            val = rhs.get(None, 0)
-            if val:
-                out.setdefault((u, v), {})[y] = val
-        return out
+        return [(key, as_int(rhs[None])) for key, rhs in zip(unknowns, sols)
+                if rhs.get(None, 0)]
 
     # --- verification ------------------------------------------------------
 
@@ -361,12 +326,17 @@ class QuantumTable:
         return dict(self.tau[(u, v)])
 
     def sigma_product(self, u, v):
-        """sigma[u] * sigma[v] as {(w, d): coeff}."""
-        return dict(self.sigma[(u, v)])
+        """sigma[u] * sigma[v] as {(w, d): coeff}: the tau product of the
+        duals, relabelled."""
+        dual = self.ctx.dual
+        return {(dual(w), d): c
+                for (w, d), c in self.tau[(dual(u), dual(v))].items()}
 
     def gw(self, u, v, w, d):
-        """The three-point invariant <sigma_u, sigma_v, sigma_w> at degree d."""
-        return self.sigma[(u, v)].get((self.ctx.dual(w), tuple(d)), 0)
+        """The three-point invariant <sigma_u, sigma_v, sigma_w> at degree d:
+        the coefficient of q^d tau[w] in tau[dual(u)] * tau[dual(v)]."""
+        dual = self.ctx.dual
+        return self.tau[(dual(u), dual(v))].get((w, tuple(d)), 0)
 
     def multiply_tau_poly(self, poly, u):
         """Multiply a {(w, d): coeff} combination of tau classes by tau[u]."""
@@ -385,7 +355,7 @@ def gw_invariant(table: QuantumTable, classes, degree):
     if len(classes) < 2:
         raise ValueError("need at least two classes")
     degree = _check_degree(table.ctx, degree, classes)
-    return _tuple_coeff(table, table.sigma, classes, degree)
+    return _tuple_coeff(table, table.tau, classes, degree)
 
 
 def _check_degree(ctx: ParabolicContext, degree, classes=()):
@@ -404,15 +374,16 @@ def _check_degree(ctx: ParabolicContext, degree, classes=()):
 
 
 def _tuple_coeff(table, products, classes, degree):
-    """The coefficient of q^degree [dual(u_n)] in the product of the first
-    n-1 classes, products[(w, u)] giving each two-class product; zero
-    unless the codimensions balance."""
+    """The coefficient of q^degree sigma[dual(u_n)] in the product of the
+    sigma classes u_1, ..., u_{n-1}, products[(w, x)] giving each product of
+    two tau classes: the product of tau[dual(u_1)], ..., tau[dual(u_{n-1})]
+    is read at q^degree tau[u_n].  Zero unless the codimensions balance."""
     ctx = table.ctx
     codim_sum = sum(ctx.codim(u) for u in classes)
     need = ctx.dim + ctx.q_codim(degree)
     if codim_sum != need:
         return 0
-    poly = {(classes[0], table.zero_d): 1}
+    poly = {(ctx.dual(classes[0]), table.zero_d): 1}
     for u in classes[1:-1]:
-        poly = poly_mul(poly, products, u, degree)
-    return poly.get((ctx.dual(classes[-1]), degree), 0)
+        poly = poly_mul(poly, products, ctx.dual(u), degree)
+    return poly.get((classes[-1], degree), 0)

@@ -399,6 +399,15 @@ def test_bad_arguments_are_one_line_exit_2(run, argv):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_verify_refuses_two_factors_before_any_table(run, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a structure table was loaded")
+    monkeypatch.setattr(cli, "load_table", no_table)
+    code, out, err = run("verify", "--type", "A1", "-n", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: verify needs -n at least 3, got 2\n"
+
+
 @pytest.mark.parametrize("argv, ignored", [
     (["tables", "--type", "B2", "--parabolic", "1"], ["--workers", "0"]),
     (["inequalities", "--type", "A1", "-n", "3"], ["--point", "pts.json"]),

@@ -47,6 +47,15 @@ DIGESTS = {
         "9a7a92562b6ce7635947ffab1bbc923a3c8b9dc27558e080955663df22579c9a",
     "tables --type A4 --parabolic 4":
         "422fe36a0efc0922699a9eb18b009671fe0c406ed78ada5bb7286615586cdb44",
+    # rank 4: quantum solves up to degree 4
+    "tables --type C4 --parabolic 2":
+        "034c6435d9d68868ccf88791b79adf8f9010d58305d6d2d28db62a9e7186c7b2",
+    "tables --type C4 --parabolic 4":
+        "b12614b52c708c10ae3e938128a72a7ad10b8d4608802efa01c350f637ba8d0f",
+    "tables --type F4 --parabolic 1":
+        "6e50e43727c4e8c58f9290193bdfe118d937c47fe00b9266dea7d52c3d86f217",
+    "tables --type F4 --parabolic 4":
+        "0b2a5c14ac6b96fbd12362951c69eab7528e5b088eba4f00de5007f0fdfbfd69",
     "tables --type E6 --parabolic 1":
         "aca94b8d88cf07426051ea0e8dbe8dbb0cb93e9315dfbf0c57179b914e0c5900",
     "inequalities --type B2 -n 3 --format json":

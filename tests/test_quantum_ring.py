@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -187,6 +189,12 @@ def test_tau_sigma_duality(quadric_table):
             tau = quadric_table.tau_product(u, v)
             sig = quadric_table.sigma_product(ctx.dual(u), ctx.dual(v))
             assert sig == {(ctx.dual(w), d): c for (w, d), c in tau.items()}
+    # gw reads the sigma product at the dual of its third class
+    degrees = {d for poly in quadric_table.tau.values() for (_, d) in poly}
+    for u, v in itertools.product(ctx.wp, repeat=2):
+        sig = quadric_table.sigma_product(u, v)
+        for w, d in itertools.product(ctx.wp, degrees):
+            assert quadric_table.gw(u, v, w, d) == sig.get((ctx.dual(w), d), 0)
 
 
 def test_chevalley_against_classical_flag():
@@ -219,11 +227,16 @@ def test_gw_invariant_validates_input(p1_table):
         gw_invariant(p1_table, (s1, s1), (0, 0))
 
 
+def _assert_same_sigma_products(table, other):
+    for u, v in itertools.product(table.ctx.wp, repeat=2):
+        assert table.sigma_product(u, v) == other.sigma_product(u, v)
+
+
 def test_preset_tau_rebuild_matches(quadric_table):
     rebuilt = build_structure_table(quadric_table.ctx,
                                     preset_tau=dict(quadric_table.tau))
     assert rebuilt.tau == quadric_table.tau
-    assert rebuilt.sigma == quadric_table.sigma
+    _assert_same_sigma_products(rebuilt, quadric_table)
 
 
 def test_restored_table_skips_chevalley_operators(quadric_table, monkeypatch):
@@ -234,7 +247,7 @@ def test_restored_table_skips_chevalley_operators(quadric_table, monkeypatch):
     monkeypatch.setattr(quantum_ring, "chevalley_operator", refuse)
     rebuilt = build_structure_table(quadric_table.ctx,
                                     preset_tau=dict(quadric_table.tau))
-    assert rebuilt.sigma == quadric_table.sigma
+    _assert_same_sigma_products(rebuilt, quadric_table)
 
 
 # --- classical constants: localization against an independent route ---------
@@ -387,3 +400,25 @@ def test_f4_tables_build_and_verify(ip):
     table = build_structure_table(_ctx("F", 4, ip))
     assert len(table.ctx.wp) == 24
     assert any(any(d) for poly in table.tau.values() for (_, d) in poly)
+
+
+# sha256 of every constant of the full-flag tables, classes by wp_index;
+# no CLI command renders a table with several quantum parameters.  The A3
+# full flag (6053285d...e10d075) takes several seconds and is left out
+FULL_FLAG_DIGESTS = {
+    ("A", 2): "f23ccfb71f0e2aa61c95272066e9e5ea01ade37a64139f2600c291a0e12d4f60",
+    ("B", 2): "06f30df95dc8b5877c01be0112bf2b5fee857556a621801492ff1d0f242dfaca",
+    ("G", 2): "4fa528fdf2a19814a786d5673b8172441beb7f19d35dd0032c9bfcc6df496512",
+}
+
+
+@pytest.mark.parametrize("t,r", list(FULL_FLAG_DIGESTS))
+def test_full_flag_table_digest(t, r):
+    ctx = minimal_reps(build_root_system(t, r), range(1, r + 1))
+    table = build_structure_table(ctx)
+    idx = ctx.wp_index
+    terms = sorted([idx[u], idx[v], idx[y], list(d), c]
+                   for (u, v), poly in table.tau.items()
+                   for (y, d), c in poly.items())
+    digest = hashlib.sha256(json.dumps(terms).encode()).hexdigest()
+    assert digest == FULL_FLAG_DIGESTS[(t, r)]
