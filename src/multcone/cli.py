@@ -279,6 +279,9 @@ def cmd_oracle_compare(args):
         check_search_settings(args.tol, args.restarts)
     except ValueError as exc:
         raise InputError(f"--{exc}") from exc
+    if args.seed < 0:
+        # numpy refuses a negative seed, which would read as a bad tuple
+        raise InputError(f"--seed must be at least 0, got {args.seed}")
     try:
         rep = rep_for_root_system(rs)
     except ValueError as exc:

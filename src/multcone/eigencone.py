@@ -13,6 +13,7 @@ of a rational one.
 """
 
 import itertools
+import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .exact import as_int, row_reduce
+from .exact import as_int
 from .root_system import RootSystem, Weight, CartanPoint
 from .weyl import minimal_reps
 from .quantum_ring import build_structure_table, gw_invariant
@@ -257,9 +258,8 @@ class _Simplex:
     divided by the gcd of its entries after every update (Bareiss, Math.
     Comp. 22, 1968).  Every test Bland's rule makes is a sign or a
     cross-multiplied ratio, so the pivots are those of a Fraction tableau.
-    maximize() can be called repeatedly with different objectives; freezing
-    the nonbasic variables that carry a negative reduced cost restricts
-    later calls to the current optimal face.
+    Each tableau is maximized once, from its slack basis, where the
+    objective row is the costs themselves.
     """
 
     MAX_PIVOTS = 200000
@@ -294,23 +294,13 @@ class _Simplex:
                 self.obj, self.obj_den, row, p, pc)
         self.basis[pr], self.nonbasic[pc] = self.nonbasic[pc], self.basis[pr]
 
-    def maximize(self, costs, frozen=frozenset()):
-        costs = [as_int(v) for v in costs] + [0] * self.m
-        obj, den = [costs[j] for j in self.nonbasic] + [0], 1
-        for r, bj in enumerate(self.basis):
-            f = costs[bj]
-            if f:
-                # obj / den - f * rows[r] / dens[r]
-                d = self.dens[r]
-                f *= den
-                obj, den = _reduced(
-                    [a * d - f * b for a, b in zip(obj, self.rows[r])],
-                    den * d)
-        self.obj, self.obj_den = obj, den
+    def maximize(self, costs):
+        assert self.obj is None, "a tableau is maximized once"
+        self.obj = [as_int(v) for v in costs] + [0]
         for _ in range(self.MAX_PIVOTS):
             obj = self.obj
             entering = [(j, c) for c, j in enumerate(self.nonbasic)
-                        if obj[c] > 0 and j not in frozen]
+                        if obj[c] > 0]
             if not entering:
                 return Fraction(-obj[-1], self.obj_den)
             pc = min(entering)[1]
@@ -333,10 +323,6 @@ class _Simplex:
                                    "constraints should make it compact")
             self._pivot(pr, pc)
         raise RuntimeError("simplex pivot guard exceeded")
-
-    def frozen_nonbasic(self):
-        return frozenset(j for c, j in enumerate(self.nonbasic)
-                         if self.obj[c] < 0)
 
     def solution(self):
         x = [Fraction(0)] * self.nvars
@@ -366,23 +352,13 @@ def _reduced(row, den):
     return [v // g for v in row], den // g
 
 
-def _affine_rank(points):
-    if len(points) < 2:
-        return 0
-    base = points[0]
-    rows = [({j: a - b for j, (a, b) in enumerate(zip(p, base))}, {})
-            for p in points[1:]]
-    pivots, _ = row_reduce(rows, len(base))
-    return len(pivots)
-
-
 # --- irredundancy -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class Certificate:
     inequality: Inequality
     certified: bool
-    method: str        # "separating-point" | "facet-witness" | "dominated" | "uncertified"
+    method: str        # "separating-point" | "dominated" | "uncertified"
     optimum: Fraction
     witness: tuple     # flat coordinates of a point violating only this one, or ()
 
@@ -474,34 +450,18 @@ def _orbits(system):
 def _certify_payload(payload):
     """Certify one inequality from plain row data (safe to run in a worker).
 
-    payload = (objective row, constraint rows, rhs column, own rhs, nvars).
-    First try to exceed the hyperplane while honoring every other
-    constraint; if the optimum only reaches it, fall back to certifying the
-    tight face as a facet by spanning it with stage-2 vertices.
+    payload = (objective row, constraint rows, rhs column, own rhs).
+    Maximize the left side while honoring every other constraint: an
+    optimum beyond the right side is attained at a vertex violating only
+    this inequality; one that reaches no further than the right side shows
+    the others imply it.
     """
-    obj, a_rows, b, rhs, nvars = payload
+    obj, a_rows, b, rhs = payload
     lp = _Simplex(a_rows, b)
     opt = lp.maximize(obj)
     if opt > rhs:
         return (True, "separating-point", opt, lp.solution())
-    if opt < rhs:
-        return (False, "dominated", opt, ())
-    face_lp = _Simplex(a_rows + [obj], b + [Fraction(rhs)])
-    top = face_lp.maximize(obj)
-    assert top == rhs
-    frozen = face_lp.frozen_nonbasic()
-    seen = []
-    for j in range(nvars):
-        for sign in (1, -1):
-            direction = [Fraction(0)] * nvars
-            direction[j] = Fraction(sign)
-            face_lp.maximize(direction, frozen=frozen)
-            pt = face_lp.solution()
-            if pt not in seen:
-                seen.append(pt)
-    if _affine_rank(seen) == nvars - 1:
-        return (True, "facet-witness", opt, ())
-    return (False, "uncertified", opt, ())
+    return (False, "dominated", opt, ())
 
 
 def _certify_row(system, j):
@@ -516,7 +476,7 @@ def _certify_row(system, j):
             a_rows.append(coeffs)
             b.append(rhs)
     coeffs, rhs = system.rows[j]
-    ok, method, opt, witness = _certify_payload((coeffs, a_rows, b, rhs, n * rank))
+    ok, method, opt, witness = _certify_payload((coeffs, a_rows, b, rhs))
     return ok, method, opt / system.scales[j], witness
 
 
@@ -536,11 +496,12 @@ def irredundancy_check(rs: RootSystem, n, inequalities, workers=None) -> Irredun
     """One exact LP per orbit of the factor-block symmetries: maximize the
     representative's left side subject to all the other inequalities plus
     the alcove constraints.  An optimum beyond the right side yields a point
-    violating only that inequality; an optimum exactly on it falls back to
-    a facet certificate.  The other members of the orbit take over the
-    optimum and method, and the witness with its blocks permuted.  Every
-    separating point is re-checked by check_certificate; one that fails the
-    check is reported uncertified."""
+    violating only that inequality; any other optimum shows the others
+    imply it, and it is reported dominated.  The other members of the orbit
+    take over the optimum and method, and the witness with its blocks
+    permuted.  Every separating point is re-checked by check_certificate;
+    one that fails the check is reported uncertified.  workers > 1 spreads
+    the orbits over at most os.cpu_count() spawned processes."""
     if n < 3:
         warnings.warn("with fewer than three factors the region can have "
                       "empty interior; irredundancy certificates are then "
@@ -549,7 +510,10 @@ def irredundancy_check(rs: RootSystem, n, inequalities, workers=None) -> Irredun
     inequalities = system.inequalities
     orbits = _orbits(system)
     reps = [rep for rep, _ in orbits]
-    if workers and workers > 1:
+    # the pool starts a process per pending orbit up to max_workers, so
+    # more workers than cores would only pay more spawn start-ups
+    workers = min(workers or 1, os.cpu_count() or 1)
+    if workers > 1:
         # imported here: the pool machinery costs every CLI start about
         # 20 ms, and a serial run never uses it
         from concurrent.futures import ProcessPoolExecutor
@@ -566,8 +530,7 @@ def irredundancy_check(rs: RootSystem, n, inequalities, workers=None) -> Irredun
     for (_, members), (ok, method, opt, witness) in zip(orbits, results):
         for k, perm in members:
             point = _permute(witness, perm, rs.rank)
-            if (method == "separating-point"
-                    and not check_certificate(rs, n, system.rows, k, point)):
+            if ok and not check_certificate(rs, n, system.rows, k, point):
                 certs[k] = Certificate(inequalities[k], False, "uncertified",
                                        opt, ())
             else:

@@ -3,12 +3,13 @@
 Polynomials are dicts mapping a key (for products, a (class, q-exponent
 tuple) pair) to a nonzero integer or Fraction coefficient.  Linear systems
 are lists of sparse rows ({column: coeff}, rhs) whose right sides are such
-dicts, so one elimination solves for any number of right-hand sides at once.
+dicts, so one elimination in solve finds the unique solution for any number
+of right-hand sides at once.
 """
 
 from fractions import Fraction
 
-__all__ = ["as_int", "poly_add", "poly_mul", "row_reduce", "solve"]
+__all__ = ["as_int", "poly_add", "poly_mul", "solve"]
 
 
 def as_int(x):
@@ -54,48 +55,38 @@ def poly_mul(poly, products, u, cap=None):
     return out
 
 
-def row_reduce(rows, ncols):
-    """Gauss-Jordan elimination over the rationals on sparse rows.
+def solve(rows, ncols, fail_msg):
+    """The unique solution of a square-or-overdetermined system by
+    Gauss-Jordan elimination over the rationals: one rhs-shaped dict per
+    unknown.
 
     rows is a list of (coeffs, rhs): coeffs a {column: coeff} map over
     columns 0..ncols-1, rhs a dict-valued right side.  Columns are taken in
     order, each pivoting on the sparsest unused row that has it (which
-    keeps fill-in down); a column with no nonzero entry left among the
-    unused rows gets no pivot and is skipped.  Returns (pivots, rest):
-    pivots maps each pivot column to its reduced row, whose coefficients
-    are 1 on that column and 0 on every other pivot column; rest holds the
-    unused rows, whose coefficients are then all zero.
+    keeps fill-in down).  Raises RuntimeError(fail_msg()) at the first
+    column with no nonzero entry left among the unused rows, and
+    AssertionError if the system is inconsistent.
     """
     rows = [({j: c for j, c in coeffs.items() if c},
              {k: v for k, v in rhs.items() if v}) for coeffs, rhs in rows]
-    pivots = {}
+    pivots = []
     for j in range(ncols):
         pr = min((r for r, (coeffs, _) in enumerate(rows) if j in coeffs),
                  key=lambda r: len(rows[r][0]), default=None)
         if pr is None:
-            continue
+            raise RuntimeError(fail_msg())
         coeffs, rhs = rows.pop(pr)
         inv = Fraction(1) / coeffs[j]
         coeffs = {k: c * inv for k, c in coeffs.items()}
         rhs = {k: v * inv for k, v in rhs.items()}
         targets = [row for row in rows if j in row[0]]
-        targets += [row for row in pivots.values() if j in row[0]]
+        targets += [row for row in pivots if j in row[0]]
         for tc, trhs in targets:
             f = tc[j]
             poly_add(tc, coeffs, -f)
             poly_add(trhs, rhs, -f)
-        pivots[j] = (coeffs, rhs)
-    return pivots, rows
-
-
-def solve(rows, ncols, fail_msg):
-    """The unique solution of a square-or-overdetermined system: one
-    rhs-shaped dict per unknown.  Raises RuntimeError(fail_msg()) if a
-    column has no pivot and AssertionError if the system is inconsistent.
-    """
-    pivots, rest = row_reduce(rows, ncols)
-    if len(pivots) < ncols:
-        raise RuntimeError(fail_msg())
-    assert not any(any(rhs.values()) for _, rhs in rest), \
+        pivots.append((coeffs, rhs))
+    # the unused rows now have all-zero coefficients
+    assert not any(any(rhs.values()) for _, rhs in rows), \
         "inconsistent linear relations; internal error"
-    return [pivots[j][1] for j in range(ncols)]
+    return [rhs for _, rhs in pivots]

@@ -364,6 +364,7 @@ def test_points_schema_accepts_point_files(tmp_path):
     ("--tol", "0", "--tol must be a positive finite number, got 0.0"),
     ("--tol", "nan", "--tol must be a positive finite number, got nan"),
     ("--tol", "inf", "--tol must be a positive finite number, got inf"),
+    ("--seed", "-1", "--seed must be at least 0, got -1"),
 ])
 def test_oracle_compare_rejects_bad_search_settings(run, tmp_path, flag,
                                                     value, message):

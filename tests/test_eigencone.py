@@ -111,6 +111,41 @@ def test_irredundancy_workers_match(a1_n3):
         assert seq == par
 
 
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    initializer and every task in this process."""
+
+    asked = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.asked.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, pool", [(4, [4]), (1, []), (None, [])])
+def test_irredundancy_workers_capped_at_cpu_count(cpus, pool, monkeypatch):
+    import concurrent.futures
+    qs = ec.generate_inequalities(B2, 3)
+    serial = ec.irredundancy_check(B2, 3, qs)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "asked", [])
+    monkeypatch.setattr(ec, "_WORKER_SYSTEM", None)
+    monkeypatch.setattr(ec.os, "cpu_count", lambda: cpus)
+    # one process per core at most, and none when there is one core
+    assert ec.irredundancy_check(B2, 3, qs, workers=10**6) == serial
+    assert _InProcessPool.asked == pool
+
+
 def _one_lp_per_inequality(rs, n, qs):
     system = ec.compile_system(rs, n, qs)
     return [ec._certify_row(system, j)[:3] for j in range(len(qs))]
@@ -145,11 +180,11 @@ def test_irredundancy_with_duplicate_row(a1_n3):
     assert ec._orbits(system)[0] == (0, [(0, (0, 1, 2)), (4, (0, 1, 2))])
     report = ec.irredundancy_check(A1, 3, qs)
     assert _verdicts(report) == _one_lp_per_inequality(A1, 3, qs)
-    # each copy bounds the other, so neither can be separated; both are
-    # still facets, and distinctness_check is what flags the pair
+    # each copy bounds the other, so neither can be separated and both
+    # are dominated; distinctness_check is what flags the pair
     for k in (0, 4):
         c = report.certificates[k]
-        assert (c.certified, c.method, c.optimum) == (True, "facet-witness", 0)
+        assert (c.certified, c.method, c.optimum) == (False, "dominated", 0)
 
 
 def test_irredundancy_on_a_list_that_is_not_invariant(a1_n3):
@@ -327,35 +362,20 @@ def test_membership_matches_slack_reference(ms):
     assert v.tight == tuple(q for q, s in zip(qs, slacks) if s == 0)
 
 
-def test_affine_rank_of_degenerate_points():
-    collinear = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (-1, -1, -1)]
-    assert ec._affine_rank(collinear) == 1
-    planar = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
-    assert ec._affine_rank(planar) == 2
-    assert ec._affine_rank([(5, 5, 5)] * 3) == 0
-    assert ec._affine_rank([(1, 2, 3)]) == 0
-
-
-def _lp(obj, a_rows, b, rhs):
+@pytest.mark.parametrize("a_rows, b", [
+    # the unit square, where x1 = 1 is a whole edge
+    ([[1, 0], [0, 1]], [1, 1]),
+    # the triangle x >= 0, x1 + x2 <= 1, where x1 = 1 is one vertex
+    ([[1, 1]], [1]),
+], ids=["square", "triangle"])
+def test_certify_payload_bound_only_reached_is_dominated(a_rows, b):
+    # maximizing x1 against x1 <= 1 reaches the bound but cannot pass it,
+    # so the other rows imply it, facet of the region or not
     F = Fraction
-    return ([F(v) for v in obj], [[F(v) for v in row] for row in a_rows],
-            [F(v) for v in b], F(rhs), len(obj))
-
-
-def test_certify_payload_facet_witness():
-    # maximize x1 over the unit square against x1 <= 1: the optimum is
-    # attained on the whole edge x1 = 1, a facet of the square
     ok, method, opt, witness = ec._certify_payload(
-        _lp([1, 0], [[1, 0], [0, 1]], [1, 1], 1))
-    assert (ok, method, opt, witness) == (True, "facet-witness", 1, ())
-
-
-def test_certify_payload_uncertified():
-    # maximize x1 over the triangle x >= 0, x1 + x2 <= 1 against x1 <= 1:
-    # the bound is reached only at the vertex (1, 0), not on a facet
-    ok, method, opt, witness = ec._certify_payload(
-        _lp([1, 0], [[1, 1]], [1], 1))
-    assert (ok, method, opt, witness) == (False, "uncertified", 1, ())
+        ([F(1), F(0)], [[F(v) for v in row] for row in a_rows],
+         [F(v) for v in b], F(1)))
+    assert (ok, method, opt, witness) == (False, "dominated", 1, ())
 
 
 class _FractionSimplex:
@@ -387,7 +407,7 @@ class _FractionSimplex:
                     other[c] -= f * v
         self.basis[pr], self.nonbasic[pc] = self.nonbasic[pc], self.basis[pr]
 
-    def maximize(self, costs, frozen=frozenset()):
+    def maximize(self, costs):
         costs = [Fraction(v) for v in costs] + [Fraction(0)] * self.m
         obj = [costs[j] for j in self.nonbasic] + [Fraction(0)]
         for r, bj in enumerate(self.basis):
@@ -397,7 +417,7 @@ class _FractionSimplex:
         self.obj = obj
         while True:
             entering = [(j, c) for c, j in enumerate(self.nonbasic)
-                        if obj[c] > 0 and j not in frozen]
+                        if obj[c] > 0]
             if not entering:
                 return -obj[-1]
             pc = min(entering)[1]
@@ -410,10 +430,6 @@ class _FractionSimplex:
                         best = cand
             assert best is not None, "unbounded"
             self._pivot(best[2], pc)
-
-    def frozen_nonbasic(self):
-        return frozenset(j for c, j in enumerate(self.nonbasic)
-                         if self.obj[c] < 0)
 
     def solution(self):
         x = [Fraction(0)] * self.nvars
@@ -450,26 +466,19 @@ def test_integer_simplex_matches_fraction_reference(seed):
     rng = random.Random(seed)
     a_rows, b = _random_lp(rng)
     nvars = len(a_rows[0])
-    lp, ref = ec._Simplex(a_rows, b), _FractionSimplex(a_rows, b)
-    pivots, ref_pivots = _count_pivots(lp), _count_pivots(ref)
-
-    def same(costs, frozen=frozenset()):
-        opt = lp.maximize(costs, frozen=frozen)
+    for _ in range(4):
+        # each objective on a fresh pair of tableaux, from the slack basis
+        costs = [rng.randint(-5, 5) for _ in range(nvars)]
+        lp, ref = ec._Simplex(a_rows, b), _FractionSimplex(a_rows, b)
+        pivots, ref_pivots = _count_pivots(lp), _count_pivots(ref)
+        opt = lp.maximize(costs)
         assert type(opt) is Fraction
-        assert opt == ref.maximize(costs, frozen=frozen)
+        assert opt == ref.maximize(costs)
         assert lp.solution() == ref.solution()
         assert (lp.basis, lp.nonbasic) == (ref.basis, ref.nonbasic)
         assert pivots == ref_pivots
-        assert lp.frozen_nonbasic() == ref.frozen_nonbasic()
-
-    for _ in range(3):
-        same([rng.randint(-5, 5) for _ in range(nvars)])
-    # the face LP of _certify_payload: each signed axis over the optimal face
-    same([rng.randint(-5, 5) for _ in range(nvars)])
-    frozen = lp.frozen_nonbasic()
-    for j in range(nvars):
-        for sign in (1, -1):
-            same([sign * int(i == j) for i in range(nvars)], frozen)
+    with pytest.raises(AssertionError, match="maximized once"):
+        lp.maximize(costs)
 
 
 @pytest.mark.parametrize("t, r, n", [

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from multcone.exact import as_int, poly_mul, row_reduce, solve
+from multcone.exact import as_int, poly_mul, solve
 
 
 def test_solve_multiple_right_sides():
@@ -31,17 +31,6 @@ def test_solver_rejects_inconsistent_system():
 def test_solver_accepts_redundant_consistent_rows():
     rows = [({0: 1}, {"b": 1}), ({0: 2}, {"b": 2}), ({0: 0}, {"b": 0})]
     assert solve(rows, 1, lambda: "unused") == [{"b": 1}]
-
-
-def test_row_reduce_skips_columns_without_pivot():
-    # column 1 is a multiple of column 0, so only columns 0 and 2 pivot
-    rows = [({0: 1, 1: 2, 2: 1}, {}), ({0: 2, 1: 4, 2: 3}, {}),
-            ({0: 3, 1: 6, 2: 4}, {})]
-    pivots, rest = row_reduce(rows, 3)
-    assert sorted(pivots) == [0, 2]
-    assert pivots[0][0] == {0: 1, 1: 2}
-    assert pivots[2][0] == {2: 1}
-    assert [coeffs for coeffs, _ in rest] == [{}]
 
 
 def test_as_int():

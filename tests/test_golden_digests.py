@@ -72,6 +72,18 @@ DIGESTS = {
         "993863994bd064eb8fc3cb38e77c4d17cb54e8b22e2304e7d929d1acb4e6935d",
     "verify --type A2 -n 4":
         "be676c9d840c6f8021aea3f97de8347af55c73546446dde553b2afc481da2e0a",
+    "verify --type B2 -n 3 --format json":
+        "443c7df65c799b28d729ed69db77a9c28ccab7f413d9d35d9b12d1ad4a9ef529",
+    "verify --type G2 -n 3 --format json":
+        "f4399b5c512ff84be4a89910a595d00c9f444046bd6c6c8b41d667615b0cddea",
+    "verify --type A2 -n 4 --format json":
+        "30fb6c6a896a2220b1855dcb88a08abd52beec83821f8546bb15dde2d3e8726b",
+    "verify --type C2 -n 3":
+        "6787a76366b2149066b541a2fa198a23012f440b9e7c1116560e198654bbdda4",
+    "verify --type A3 -n 3":
+        "757e8a4e47959ee9cdfd3a0dad7105365fa501ecc7526b4cf238c900b10285be",
+    "verify --type B3 -n 3":
+        "db50cfe832fa8310721e0bcd387617783bec0d3817425c143fd7add0aa17a1ba",
 }
 
 
