@@ -12,9 +12,12 @@ from .eigencone import (Certificate, DistinctnessReport, Inequality,
                         IrredundancyReport, MembershipVerdict,
                         baseline_inequalities, distinctness_check,
                         generate_inequalities, irredundancy_check, membership)
-from .unitary_oracle import (GroupRep, OracleVerdict, group_rep,
-                             numeric_membership, rep_for_root_system,
-                             su2_reference_membership)
+
+# The numeric oracle is the only user of numpy; its names are loaded on
+# first access (PEP 562), so importing multcone does not import numpy.
+_ORACLE_NAMES = ("GroupRep", "OracleVerdict", "group_rep",
+                 "numeric_membership", "rep_for_root_system",
+                 "su2_reference_membership")
 
 __all__ = [
     "CartanPoint", "RootSystem", "Weight", "build_root_system",
@@ -28,6 +31,12 @@ __all__ = [
     "IrredundancyReport", "MembershipVerdict",
     "baseline_inequalities", "distinctness_check", "generate_inequalities",
     "irredundancy_check", "membership",
-    "GroupRep", "OracleVerdict", "group_rep", "numeric_membership",
-    "rep_for_root_system", "su2_reference_membership",
+    *_ORACLE_NAMES,
 ]
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import unitary_oracle
+        return getattr(unitary_oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,7 +5,8 @@ deterministic for a fixed argument vector: rerunning a command produces
 byte-identical bytes on stdout.  Exit code 0 means success, 1 means a
 mathematical verification failed, 2 means the invocation or an input file
 was bad, or the library refused the request with a ValueError or
-RuntimeError; either way stderr gets one "error: ..." line.
+RuntimeError; either way stderr gets one "error: ..." line.  numpy is
+loaded only by oracle-compare, so the other commands start without it.
 """
 
 import argparse
@@ -22,8 +23,6 @@ from .eigencone import (generate_inequalities, inequality_to_obj, membership,
                         distinctness_check, points_from_obj)
 from .quantum_ring import build_structure_table
 from .root_system import build_root_system
-from .unitary_oracle import (check_search_settings, numeric_membership,
-                             rep_for_root_system, su2_reference_membership)
 from .weyl import check_group_order, minimal_reps
 
 FORMAT_VERSION = 1
@@ -273,6 +272,8 @@ def cmd_verify(args):
 
 
 def cmd_oracle_compare(args):
+    from .unitary_oracle import (check_search_settings, numeric_membership,
+                                 rep_for_root_system, su2_reference_membership)
     rs = _root_system(args)
     n = _factors(args)
     try:

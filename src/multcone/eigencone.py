@@ -14,6 +14,7 @@ of a rational one.
 
 import itertools
 import os
+import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -599,6 +600,25 @@ def points_to_obj(points):
     return {"points": [[str(m) for m in p.coords] for p in points]}
 
 
+# Fraction expands a decimal exponent into a power of ten, so a coordinate
+# is refused before it is built if its numerator or denominator would have
+# more digits than Python's default limit on int strings.
+MAX_COORD_DIGITS = 4300
+_DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?"
+                      r"(?:e([-+]?\d+(?:_\d+)*))?\s*", re.IGNORECASE)
+
+
+def _coordinate(text):
+    m = _DECIMAL.fullmatch(text)
+    if m:
+        whole, frac = (len((g or "").replace("_", "")) for g in m.group(1, 2))
+        shift = int(m.group(3) or 0)
+        if max(whole + frac + shift, 1 + frac - shift) > MAX_COORD_DIGITS:
+            raise ValueError(
+                f"a coordinate has more than {MAX_COORD_DIGITS} digits")
+    return Fraction(text)
+
+
 def points_from_obj(rs: RootSystem, obj):
     if not isinstance(obj, dict) or not isinstance(obj.get("points"), list):
         raise ValueError('point file must be an object with a "points" list')
@@ -610,8 +630,10 @@ def points_from_obj(rs: RootSystem, obj):
             raise ValueError(f"point {k + 1} has {len(row)} coordinates, "
                              f"expected {rs.rank}")
         try:
-            coords = tuple(Fraction(str(v)) for v in row)
-        except (ValueError, ZeroDivisionError) as exc:
+            coords = tuple(_coordinate(str(v)) for v in row)
+        except ZeroDivisionError:
+            raise ValueError(f"point {k + 1}: zero denominator") from None
+        except ValueError as exc:
             raise ValueError(f"point {k + 1}: {exc}") from exc
         out.append(CartanPoint(coords))
     return out

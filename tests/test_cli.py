@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import time
 from importlib import resources
 from pathlib import Path
@@ -10,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import multcone
 from multcone import cli, eigencone, unitary_oracle, weyl
 from multcone.cli import main
 from multcone.eigencone import compile_system
@@ -255,6 +260,21 @@ def test_point_files_need_a_list_of_lists(run, tmp_path, command, points,
     assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
 
+@pytest.mark.parametrize("value, message", [
+    ("1e10000000", "a coordinate has more than 4300 digits"),
+    ("1e-10000000", "a coordinate has more than 4300 digits"),
+    ("1/0", "zero denominator"),
+])
+def test_point_coordinates_are_refused_before_they_are_built(run, tmp_path,
+                                                             value, message):
+    # Fraction would first expand 10**10000000, which takes seconds
+    path = points_file(tmp_path, [[value], ["0"], ["0"]])
+    start = time.perf_counter()
+    code, out, err = run("member", "--type", "A1", "-n", "3", "--point", path)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"error: {path}: point 1: {message}\n")
+
+
 def test_verify_text(run):
     code, out, _ = run("verify", "--type", "A1", "-n", "3")
     assert code == 0
@@ -423,6 +443,49 @@ def test_options_a_command_does_not_read_exit_2(run, argv, ignored):
     code, out, err = run(*argv, *ignored)
     assert (code, out) == (2, "")
     assert err == f"error: unrecognized arguments: {' '.join(ignored)}\n"
+
+
+# a fresh process: this one has numpy loaded already
+NUMPY_PROBE = textwrap.dedent("""
+    import json, sys
+    import multcone, multcone.cli
+    points = sys.argv[1]
+    codes = [multcone.cli.main(argv) for argv in (
+        ["tables", "--type", "B2", "--parabolic", "1"],
+        ["inequalities", "--type", "B2", "-n", "3"],
+        ["member", "--type", "A1", "-n", "3", "--point", points],
+        ["verify", "--type", "B2", "-n", "3"],
+    )]
+    before = "numpy" in sys.modules
+    codes.append(multcone.cli.main(["oracle-compare", "--type", "A1", "-n",
+                                    "3", "--point", points,
+                                    "--restarts", "30"]))
+    print(json.dumps([codes, before, "numpy" in sys.modules]))
+""")
+
+
+def test_numpy_is_loaded_only_by_oracle_compare(tmp_path):
+    src = str(Path(multcone.__file__).parents[1])
+    env = dict(os.environ, MULTCONE_CACHE_DIR=str(tmp_path / "cache"),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = points_file(tmp_path, [["1/2"], ["1/2"], ["1/2"]])
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, path], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, before, after = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * 5
+    assert not before, "a command other than oracle-compare loaded numpy"
+    assert after
+
+
+def test_public_names_resolve_to_their_home_modules():
+    for name in multcone.__all__:
+        obj = getattr(multcone, name)
+        assert obj.__module__.startswith("multcone.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    with pytest.raises(AttributeError, match="no_such_name"):
+        multcone.no_such_name
 
 
 def test_help_still_exits_0(capsys):

@@ -320,6 +320,23 @@ def test_points_json_round_trip():
         ec.points_from_obj(A1, {"points": ["x"]})
 
 
+@pytest.mark.parametrize("text, value", [
+    ("1e4299", Fraction(10) ** 4299), ("1e-4299", Fraction(1, 10 ** 4299)),
+    ("1_0.2_5E-1", Fraction(1025, 1000)), ("-0.5", Fraction(-1, 2)),
+])
+def test_coordinates_up_to_the_digit_limit_are_read(text, value):
+    assert ec.points_from_obj(A1, {"points": [[text]]})[0].coords == (value,)
+
+
+@pytest.mark.parametrize("text", [
+    "1e4300", "1e-4300", "0.5e4300", "1" + "0" * 4300, "1e" + "9" * 30,
+])
+def test_coordinates_past_the_digit_limit_are_refused(text):
+    with pytest.raises(ValueError, match="point 1: a coordinate has more "
+                                         "than 4300 digits"):
+        ec.points_from_obj(A1, {"points": [[text]]})
+
+
 RATIONAL = st.fractions(min_value=0, max_value=1, max_denominator=8)
 
 
