@@ -159,7 +159,9 @@ def _read_points(args, rs):
     path = _need(args, "point", "--point")
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            # numbers stay the text they were written as, so every
+            # coordinate reaches the exact parser and its digit bound
+            obj = json.load(fh, parse_int=str, parse_float=str)
     except OSError as exc:
         raise InputError(str(exc)) from exc
     except json.JSONDecodeError as exc:

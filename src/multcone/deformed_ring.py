@@ -7,17 +7,17 @@ deformation variable t_i to 1 recovers the quantum product; setting them
 all to 0 keeps only the exponent-free terms, which is the coefficient the
 inequality generator consumes.
 
-The degree part of an exponent is read off the context's S-matrix, whose
-two independent formulas (a closed form through the dual Coxeter number
-and a sum over the positive roots outside the Levi) are checked against
-each other once per context; integrality is asserted on every call.
+An exponent is an integer sum: the simple-root coordinates of the
+boundary characters, stored once per class by the context, plus a degree
+part read off the context's S-matrix, whose two independent formulas (a
+closed form through the dual Coxeter number and a sum over the positive
+roots outside the Levi) are checked against each other once per context.
 """
 
 import json
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
-from .exact import as_int
 from .quantum_ring import QuantumTable, _tuple_coeff, _check_degree
 from .weyl import ParabolicContext, render_word
 
@@ -32,19 +32,18 @@ def a_exponent(ctx: ParabolicContext, u, v, w, d):
 
     Returns one nonnegative-or-not integer per index in sorted S_P; callers
     decide what to do with negative values (they never occur on terms with
-    a nonzero structure constant).  The degree term of index i is
-    S[i][i] * d_i with S = s_matrix(ctx), whose closed form and sum over
-    the roots outside the Levi were checked once when the context was
-    built.
+    a nonzero structure constant).  Index i adds the value at the coweight
+    x_i of chi_e - chi_u - chi_v - chi_w, its i-th simple-root coordinate,
+    to the degree term S[i][i] * d_i with S = s_matrix(ctx), whose closed
+    form and sum over the roots outside the Levi were checked once when the
+    context was built.  A class outside W^P raises ValueError.
     """
     d = _check_degree(ctx, d)
-    rs = ctx.rs
-    deficit = ctx.chi_e() - ctx.chi(u) - ctx.chi(v) - ctx.chi(w)
-    out = []
-    for pos, i in enumerate(sorted(ctx.s_p)):
-        val = rs.weight_value(deficit, rs.x_point(i)) + ctx.s_matrix[pos][pos] * d[pos]
-        out.append(as_int(val))
-    return tuple(out)
+    chi = ctx.chi_root_coords
+    ce, cu, cv, cw = chi(ctx.wp[0]), chi(u), chi(v), chi(w)
+    return tuple(ce[i - 1] - cu[i - 1] - cv[i - 1] - cw[i - 1]
+                 + ctx.s_matrix[pos][pos] * d[pos]
+                 for pos, i in enumerate(sorted(ctx.s_p)))
 
 
 @dataclass(frozen=True)
@@ -86,36 +85,20 @@ def deformed_product(table: QuantumTable, u, v) -> DeformedElement:
     return DeformedElement(terms=terms)
 
 
-class _TauZeroProducts(dict):
-    """Degree-zero-specialized products of tau classes keyed by class pair:
-    (u, v) -> {(class, d): coeff}, exponent-free terms only, the exponents
-    being those of the sigma product of the duals.  Each pair is worked out
-    on first lookup and stored under both orders."""
-
-    def __init__(self, table):
-        super().__init__()
-        # ctx and tau only: holding the table would keep it alive as a
-        # key of _TZ_CACHE
-        self.ctx, self.tau = table.ctx, table.tau
-
-    def __missing__(self, key):
-        ctx = self.ctx
-        u, v = key if ctx.wp_index[key[0]] <= ctx.wp_index[key[1]] else key[::-1]
-        du, dv = ctx.dual(u), ctx.dual(v)
-        out = {}
-        for (y, d), c in self.tau[(u, v)].items():
-            if not any(a_exponent(ctx, du, dv, y, d)):
-                out[(y, d)] = c
-        self[(u, v)] = self[(v, u)] = out
-        return out
-
-
 _TZ_CACHE = WeakKeyDictionary()
 
 
 def _tau_zero_products(table):
+    """Degree-zero-specialized products of tau classes keyed by class pair:
+    (u, v) -> {(class, d): coeff}, exponent-free terms only, the exponents
+    being those of the sigma product of the duals.  Filled for every pair
+    once per table."""
     if table not in _TZ_CACHE:
-        _TZ_CACHE[table] = _TauZeroProducts(table)
+        ctx = table.ctx
+        _TZ_CACHE[table] = {
+            (u, v): {(y, d): c for (y, d), c in poly.items()
+                     if not any(a_exponent(ctx, ctx.dual(u), ctx.dual(v), y, d))}
+            for (u, v), poly in table.tau.items()}
     return _TZ_CACHE[table]
 
 

@@ -9,9 +9,9 @@ A table stores the tau products only, tau[(u, v)] = {(w, d): coeff}; a
 sigma product is the tau product of the duals, relabelled by ctx.dual.
 
 Products by the codimension-one classes tau[s_i] are given in closed form by
-the quantum Chevalley rule; its classical part is cross-checked against
-the classical constants.  The rest of the table comes in two steps, filled
-into tau one degree at a time:
+the quantum Chevalley rule and written into tau whole; its classical part
+is cross-checked against the classical constants.  The rest of the table
+comes in two steps:
 
   * classical constants: localized on W^P alone.  Billey's formula gives
     each equivariant class tau[u] at each fixed point w at the point where
@@ -186,6 +186,12 @@ class QuantumTable:
         chevalley = {simple[i]: chevalley_operator(ctx, i) for i in self.q_index}
         classical = _classical_sub_table(ctx)
 
+        # every product starts from its classical constants; a product
+        # whose shorter factor is a divisor is its Chevalley rule, written
+        # whole (tau[s_i] * tau[s_j] from the rule of s_i)
+        self.tau = tau = {
+            (u, v): {(y, zero): c for y, c in classical[(u, v)].items()}
+            for u in ctx.wp for v in ctx.wp}
         # the Chevalley terms indexed by the class they land on
         rev_chev = {si: {} for si in chevalley}
         for si, rule in chevalley.items():
@@ -193,29 +199,16 @@ class QuantumTable:
                 # the two classical sources must agree where they overlap
                 from_chev = {w: c for (w, dd), c in terms.items() if not any(dd)}
                 assert classical[(si, y)] == from_chev, (str(si), str(y))
+                tau[(si, y)], tau[(y, si)] = dict(terms), dict(terms)
                 for (x, e), c in terms.items():
                     rev_chev[si].setdefault(x, {})[(y, e)] = c
 
-        # one degree at a time, in increasing codimension.  A product whose
-        # shorter factor is a divisor gets its degree-d terms from the
-        # Chevalley rule at the start of degree d's step (tau[s_i] * tau[s_j]
-        # from the rule of s_i), so every product lists its terms degree by
-        # degree; the other products of degree d are solved after them
-        self.tau = tau = {
-            (u, v): {} if min(u.length, v.length) == 1 else
-            {(y, zero): c for y, c in classical[(u, v)].items()}
-            for u in ctx.wp for v in ctx.wp}
-        done = set()
-        for d in [zero] + self._degree_vectors():
-            for si, rule in chevalley.items():
-                for v in ctx.wp[1:]:
-                    part = {(y, d): c for (y, dd), c in rule[v].items() if dd == d}
-                    tau[(si, v)].update(part)
-                    if v.length > 1:
-                        tau[(v, si)].update(part)
-            if any(d):
-                for (u, v, y), c in self._solve_degree(d, rev_chev, done):
-                    tau[(u, v)][(y, d)] = tau[(v, u)][(y, d)] = c
+        # the other products, one nonzero degree at a time in increasing
+        # codimension
+        done = {zero}
+        for d in self._degree_vectors():
+            for (u, v, y), c in self._solve_degree(d, rev_chev, done):
+                tau[(u, v)][(y, d)] = tau[(v, u)][(y, d)] = c
             done.add(d)
 
     def _solve_degree(self, d, rev_chev, done):
@@ -244,47 +237,35 @@ class QuantumTable:
         if not unknowns:
             return []
 
-        def lookup(dd, u, v, y):
+        def term(u, v, y, e, k):
+            # k * c_{d-e}(u, v; y) on the left of the row being built: a
+            # degree-d unknown, or a constant of tau moved to the right
+            nonlocal rhs
+            dd = tuple(m - n for m, n in zip(d, e))
             if any(a < 0 for a in dd):
-                return 0
-            assert dd in done, "dependency on an unsolved degree; internal error"
-            return tau[(u, v)].get((y, dd), 0)
+                return
+            if dd != d:
+                assert dd in done, "dependency on an unsolved degree; internal error"
+            elif y.length != u.length + v.length - degq:
+                return
+            elif u.length >= 2 and v.length >= 2:
+                col = index[(u, v, y)]
+                coeffs[col] = coeffs.get(col, 0) + k
+                return
+            rhs -= k * tau[(u, v)].get((y, dd), 0)
 
         rows = []
         for si, into in rev_chev.items():
             for b in ctx.wp:
                 for c in ctx.wp:
                     for x in ctx.by_length(b.length + 1 + c.length - degq):
-                        coeffs = {}
-                        rhs = 0
-
-                        def add(u, v, y, scale):
-                            nonlocal rhs
-                            if y.length != u.length + v.length - degq:
-                                return
-                            if u.length >= 2 and v.length >= 2:
-                                col = index[(u, v, y)]
-                                coeffs[col] = coeffs.get(col, 0) + scale
-                            else:
-                                rhs -= scale * tau[(u, v)].get((y, d), 0)
-
-                        # quantum Chevalley terms (e nonzero) land at
-                        # strictly lower degree, so they are known.
+                        coeffs, rhs = {}, 0
                         # sum over y of chev(y -> x) * c_{d-e}(b, c; y)
                         for (y, e), k in into.get(x, {}).items():
-                            if any(e):
-                                rhs -= k * lookup(tuple(m - n for m, n in zip(d, e)),
-                                                  b, c, y)
-                            else:
-                                add(b, c, y, k)
+                            term(b, c, y, e, k)
                         # minus sum over b' of chev(b -> b') * c_{d-e}(b', c; x)
                         for (b2, e), k in tau[(si, b)].items():
-                            if any(e):
-                                rhs += k * lookup(tuple(m - n for m, n in zip(d, e)),
-                                                  b2, c, x)
-                            else:
-                                add(b2, c, x, -k)
-
+                            term(b2, c, x, e, -k)
                         if coeffs:
                             rows.append((coeffs, {None: rhs}))
                         else:

@@ -169,8 +169,9 @@ class ParabolicContext:
     Carries the minimal coset representatives of W/W_P sorted by
     (length, lex word), one per point of the orbit W lambda_P, the
     dimension of the flag variety, the Levi half-sum rho_L, the longest
-    elements of W and W_P, an eagerly built chi table, the degrees of the
-    quantum parameters and the S-matrix (see s_matrix).
+    elements of W and W_P, the boundary character chi_w of each
+    representative (stored once, as its integer simple-root vector), the
+    degrees of the quantum parameters and the S-matrix (see s_matrix).
     """
 
     def __init__(self, rs: RootSystem, s_p):
@@ -219,9 +220,7 @@ class ParabolicContext:
             assert out.matrix == m, "duality left the representative set"
             self._dual[w] = out
 
-        self._chi = {}
-        for w in self.wp:
-            self._chi[w] = self._chi_both_ways(w)
+        self._chi = {w: self._chi_both_ways(w) for w in self.wp}
 
         self.q_degrees = {}
         chi_e = self.chi_e()
@@ -243,30 +242,30 @@ class ParabolicContext:
         for i in idx:
             row = []
             for j in idx:
-                tot = Fraction(0)
-                for r in self.outside_pos:
-                    tot += Fraction(r[i - 1]) * rs.root_pairing(r, j)
-                val = as_int(tot)
+                val = sum(r[i - 1] * rs.root_pairing(r, j)
+                          for r in self.outside_pos)
                 assert val >= 0, (i, j, val)
                 unit = _unit(rs.rank, i - 1)
                 norm_i = rs.form_on_root_coords(unit, unit)
-                expect = Fraction(2 * rs.dual_coxeter) / norm_i if i == j else Fraction(0)
-                assert Fraction(val) == expect, (i, j, val, expect)
+                expect = Fraction(2 * rs.dual_coxeter) / norm_i if i == j else 0
+                assert val == expect, (i, j, val, expect)
                 row.append(val)
             out.append(tuple(row))
         return tuple(out)
 
     def _chi_both_ways(self, w):
+        """chi_w in simple-root coordinates: the sum of the roots outside
+        the Levi that w keeps positive, checked against rho - 2 rho_L + w^-1 rho."""
         rs = self.rs
-        acc = [Fraction(0)] * rs.rank
+        acc = [0] * rs.rank
         for r in self.outside_pos:
             if w.act_fund(rs.root_fund[r]) in rs.fund_root:
                 for j, c in enumerate(r):
                     acc[j] += c
-        via_sum = rs.weight_from_root_coords(acc)
         via_rho = rs.rho - 2 * self.rho_l + Weight(self.inverse_act(w, rs.rho.coords))
-        assert via_sum == via_rho, f"chi formulas disagree at {w}"
-        return via_sum
+        assert rs.weight_from_root_coords(acc) == via_rho, \
+            f"chi formulas disagree at {w}"
+        return tuple(acc)
 
     # --- queries -----------------------------------------------------------
 
@@ -274,12 +273,18 @@ class ParabolicContext:
         return self.dim - w.length
 
     def chi(self, w) -> Weight:
-        if w not in self._chi:
-            raise ValueError(f"{w} is not a minimal coset representative here")
-        return self._chi[w]
+        return self.rs.weight_from_root_coords(self.chi_root_coords(w))
+
+    def chi_root_coords(self, w):
+        """chi_w as its integer vector of simple-root coordinates."""
+        try:
+            return self._chi[w]
+        except KeyError:
+            raise ValueError(
+                f"{w} is not a minimal coset representative here") from None
 
     def chi_e(self) -> Weight:
-        return self._chi[self.wp[0]]
+        return self.chi(self.wp[0])
 
     def dual(self, w) -> WeylElement:
         """The involution w -> w_o w w_o^P of the representative set; swaps

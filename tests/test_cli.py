@@ -275,6 +275,26 @@ def test_point_coordinates_are_refused_before_they_are_built(run, tmp_path,
     assert (code, out, err) == (2, "", f"error: {path}: point 1: {message}\n")
 
 
+def test_point_file_numbers_are_read_as_written(run, tmp_path):
+    # a JSON float would underflow to 0 and put the tuple on the boundary
+    path = tmp_path / "tiny.json"
+    path.write_text('{"points": [[1e-400], [0], [0]]}')
+    code, out, _ = run("member", "--type", "A1", "-n", "3", "--point",
+                       str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["status"] == "outside"
+    # a JSON integer past Python's int-string limit reaches the digit bound
+    # instead of failing inside json.load
+    path = tmp_path / "long.json"
+    path.write_text('{"points": [[1%s], [0], [0]]}' % ("0" * 4999))
+    start = time.perf_counter()
+    code, out, err = run("member", "--type", "A1", "-n", "3", "--point",
+                         str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: point 1: "
+                   "a coordinate has more than 4300 digits\n")
+
+
 def test_verify_text(run):
     code, out, _ = run("verify", "--type", "A1", "-n", "3")
     assert code == 0

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import re
@@ -7,9 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multcone.deformed_ring import (a_exponent, deformed_coeff_tuple,
-                                    deformed_product, is_levi_movable,
-                                    render_table)
+from multcone.deformed_ring import (_tau_zero_products, a_exponent,
+                                    deformed_coeff_tuple, deformed_product,
+                                    is_levi_movable, render_table)
 from multcone.quantum_ring import build_structure_table
 from multcone.root_system import build_root_system
 from multcone.weyl import minimal_reps
@@ -117,6 +118,47 @@ def test_degree_term_matches_both_formulas(t, r, s_p):
                 a * rs.root_pairing(root, j) for a, j in zip(d, qs))
                 for root in ctx.outside_pos)
             assert term[pos] == closed == by_roots, (i, d)
+
+
+EXPONENT_SPACES = DEGREE_TERM_SPACES + [("A", 4, {ip}) for ip in range(1, 5)]
+
+
+@functools.lru_cache(maxsize=None)
+def _table(t, r, s_p):
+    return build_structure_table(minimal_reps(build_root_system(t, r), s_p))
+
+
+@pytest.mark.parametrize("t,r,s_p", EXPONENT_SPACES)
+def test_a_exponent_matches_fraction_reference(t, r, s_p):
+    # the reference evaluates the weight chi_e - chi_u - chi_v - chi_w at
+    # each coweight x_i through the inverse Cartan matrix, in Fractions
+    table = _table(t, r, frozenset(s_p))
+    ctx, rs = table.ctx, table.ctx.rs
+    for (u, v), poly in table.tau.items():
+        su, sv = ctx.dual(u), ctx.dual(v)
+        for y, d in poly:
+            deficit = ctx.chi_e() - ctx.chi(su) - ctx.chi(sv) - ctx.chi(y)
+            want = tuple(
+                rs.weight_value(deficit, rs.x_point(i))
+                + ctx.s_matrix[pos][pos] * d[pos]
+                for pos, i in enumerate(sorted(ctx.s_p)))
+            got = a_exponent(ctx, su, sv, y, d)
+            assert got == want, (str(u), str(v), str(y), d)
+            assert all(type(a) is int for a in got)
+
+
+@pytest.mark.parametrize("t,r,s_p", EXPONENT_SPACES)
+def test_tau_zero_products_match_deformed_product(t, r, s_p):
+    # the inequality generator's specialized products against the
+    # exponent-free part of the sigma product of the duals
+    table = _table(t, r, frozenset(s_p))
+    ctx = table.ctx
+    products = _tau_zero_products(table)
+    for u in ctx.wp:
+        for v in ctx.wp:
+            kept = deformed_product(table, ctx.dual(u), ctx.dual(v)).at_tau_zero()
+            want = {(ctx.dual(x), d): c for (x, d), c in kept.items()}
+            assert products[(u, v)] == want, (str(u), str(v))
 
 
 COMINUSCULE = [("A", 2, 1), ("A", 3, 2), ("B", 2, 1)]
