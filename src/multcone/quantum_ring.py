@@ -27,10 +27,12 @@ The quantum linear system can in principle be rank-deficient on spaces
 outside the supported range; that raises an error naming the offending
 degree instead of guessing.  Every built table is re-verified: grading,
 commutativity, integrality, nonnegativity, unit, and (on small spaces)
-exhaustive associativity.
+associativity, checked as the commuting of the multiplication operators
+by the Schubert classes.
 """
 
 import itertools
+from operator import gt, sub
 
 from .exact import as_int, poly_add, poly_mul, solve
 from .weyl import (ParabolicContext, _element_at, _left_simple, _matmul,
@@ -241,9 +243,9 @@ class QuantumTable:
             # k * c_{d-e}(u, v; y) on the left of the row being built: a
             # degree-d unknown, or a constant of tau moved to the right
             nonlocal rhs
-            dd = tuple(m - n for m, n in zip(d, e))
-            if any(a < 0 for a in dd):
+            if any(map(gt, e, d)):
                 return
+            dd = tuple(map(sub, d, e))
             if dd != d:
                 assert dd in done, "dependency on an unsolved degree; internal error"
             elif y.length != u.length + v.length - degq:
@@ -295,10 +297,22 @@ class QuantumTable:
                 assert got == want, ((str(u), str(x)), (str(w), d), c)
                 assert c > 0, ((str(u), str(x)), (str(w), d), c)
         if len(ctx.wp) <= 32:
-            for u, v, w in itertools.product(ctx.wp, repeat=3):
-                lhs = self.multiply_tau_poly(self.tau[(u, v)], w)
-                rhs = self.multiply_tau_poly(self.tau[(v, w)], u)
-                assert lhs == rhs, (str(u), str(v), str(w))
+            # given commutativity, (uv)w = u(vw) for every triple is
+            # u(vw) = v(uw) for u < v and every w: the multiplication
+            # operators commute.  Each such equation compares products x(yz)
+            # of one multiset {x, y, z}, and each product belongs to one
+            # multiset, so walking the multisets makes each product once
+            mul = self.multiply_tau_poly
+            for u, v, w in itertools.combinations_with_replacement(ctx.wp, 3):
+                if u == w:
+                    continue
+                u_vw = mul(self.tau[(v, w)], u)
+                if u != v:
+                    assert mul(self.tau[(u, w)], v) == u_vw, \
+                        (str(u), str(v), str(w))
+                if v != w:
+                    assert mul(self.tau[(u, v)], w) == u_vw, \
+                        (str(u), str(w), str(v))
 
     # --- queries -----------------------------------------------------------
 

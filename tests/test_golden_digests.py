@@ -50,12 +50,16 @@ DIGESTS = {
     # rank 4: quantum solves up to degree 4
     "tables --type D4 --parabolic 1":
         "f1f517a962279bfd94bc73cd7c649151bd07d8d00f1c1ce94d6f3881ed5a03c0",
+    "tables --type D4 --parabolic 2":
+        "92aab1df8874307438ad9504e950082afb147aacb56c9f7366f23f843cd10adb",
     "tables --type D4 --parabolic 3":
         "8e3f4168d261aef567d10bf9992d5f1e3230afda2180390015d3264332b5a996",
     "tables --type D4 --parabolic 4":
         "5ee836dc9299bc3abf80d0952a6bf1b1b341ba64fe8d9adf16e5dfd1f3b67d1a",
     "tables --type B4 --parabolic 1":
         "04746e1c284f2086833179042caf5925aa29a70e4808913766606d60b9cb4c15",
+    "tables --type B4 --parabolic 2":
+        "adf60d40f58f1adc152629591198c41087b0f07117877c040680fee2aa58f663",
     "tables --type B4 --parabolic 4":
         "b75e35490dcd2a683be2ef18c6bd014857b06e664525ac044d0360dd12a134c9",
     "tables --type C4 --parabolic 1":

@@ -10,6 +10,7 @@ from multcone import weyl
 from multcone.weyl import (enumerate_weyl, minimal_reps, simple_weyl_order,
                            weyl_order)
 
+from exact_reference import invert_reference
 from weyl_reference import WeylGroup, get_weyl_group
 
 F = Fraction
@@ -188,6 +189,7 @@ def test_inverse_cartan(t, r):
                            for k in range(r)) for j in range(r))
                  for i in range(r))
     assert prod == ident
+    assert rs.inverse_cartan == invert_reference(rs.cartan)
 
 
 @pytest.mark.parametrize("t,r", sorted(POS_ROOT_COUNTS))
