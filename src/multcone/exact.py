@@ -78,14 +78,15 @@ def solve(rows, ncols, fail_msg):
              {k: v for k, v in rhs.items() if v}) for coeffs, rhs in rows]
     pivots = []
     for j in range(ncols):
-        pr = min((r for r, (coeffs, _) in enumerate(rows) if j in coeffs),
-                 key=lambda r: len(rows[r][0]), default=None)
-        if pr is None:
+        # the unused rows that hold column j, found in one pass
+        holding = [r for r, row in enumerate(rows) if j in row[0]]
+        if not holding:
             raise RuntimeError(fail_msg())
+        pr = min(holding, key=lambda r: len(rows[r][0]))
+        targets = [rows[r] for r in holding if r != pr]
+        targets += [row for row in pivots if j in row[0]]
         coeffs, rhs = rows.pop(pr)
         a = coeffs[j]
-        targets = [row for row in rows if j in row[0]]
-        targets += [row for row in pivots if j in row[0]]
         for tc, trhs in targets:
             f = tc[j]
             g = gcd(a, f)

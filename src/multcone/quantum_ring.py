@@ -23,12 +23,12 @@ comes in two steps:
     of tau[s_i] * (tau[b] * tau[c]) = (tau[s_i] * tau[b]) * tau[c] and
     extracting one q-power coefficient, all lower degrees being known.
 
-The quantum linear system can in principle be rank-deficient on spaces
-outside the supported range; that raises an error naming the offending
-degree instead of guessing.  Every built table is re-verified: grading,
-commutativity, integrality, nonnegativity, unit, and (on small spaces)
-associativity, checked as the commuting of the multiplication operators
-by the Schubert classes.
+The quantum linear system can be rank-deficient: on B4/P3, divisor
+associativity alone does not pin the constants of degree (1,).  That raises
+an error naming the degree instead of guessing.  Every built table is
+re-verified: grading, commutativity, integrality, nonnegativity, unit, and
+(on small spaces) associativity, checked as the commuting of the
+multiplication operators by the Schubert classes.
 """
 
 import itertools
@@ -62,11 +62,11 @@ def chevalley_operator(ctx: ParabolicContext, i):
     reflections = []
     for alpha in ctx.outside_pos:
         cov = rs.coroot(alpha)
-        coeff = as_int(cov[i - 1])
+        coeff = cov[i - 1]
         if coeff:
-            d = tuple(as_int(cov[j - 1]) for j in qs)
+            d = tuple(cov[j - 1] for j in qs)
             # s_alpha is the element taking rho to rho - rho(alpha^vee) alpha
-            refl = _element_at(rs, tuple(1 - as_int(sum(cov)) * f
+            refl = _element_at(rs, tuple(1 - sum(cov) * f
                                          for f in rs.root_fund[alpha]))
             reflections.append((coeff, d, refl.matrix, ctx.q_codim(d)))
     out = {}

@@ -5,10 +5,21 @@ indexed 1..rank following the Bourbaki planches (so e.g. in type B the last
 root is short, in type C the last root is long, in G2 the first root is
 short). Weights are stored in fundamental-weight coordinates, points of the
 Cartan subalgebra in "simple-root value" coordinates m_j = alpha_j(mu).
+
+The root data is read off the Cartan matrix.  The positive roots and
+their coroots, integer vectors both, come from one closure of the simple
+roots under the simple reflections that raise the height: every positive
+root is reached that way, and beta -> beta^vee commutes with the
+reflections (Humphreys, Introduction to Lie Algebras and Representation
+Theory, section 10).  The symmetrizer d_i = <alpha_i, alpha_i>/2 is
+theta^vee_i / theta_i for the highest root theta, because <theta, theta> = 2
+makes theta^vee = sum_i theta_i d_i alpha_i^vee, and the dual Coxeter
+number is 1 + sum_i theta^vee_i.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exact import solve
 
@@ -68,18 +79,6 @@ class CartanPoint:
     def __rmul__(self, c):
         return CartanPoint(tuple(Fraction(c) * a for a in self.coords))
 
-
-# height of the highest root, by type; doubles as the closure cap for the
-# root-string enumeration (no root lives above this height)
-_THETA_HEIGHT = {
-    "A": lambda n: n,
-    "B": lambda n: 2 * n - 1,
-    "C": lambda n: 2 * n - 1,
-    "D": lambda n: 2 * n - 3,
-    "E": lambda n: {6: 11, 7: 17, 8: 29}[n],
-    "F": lambda n: 11,
-    "G": lambda n: 5,
-}
 
 _VALID_RANK = {
     "A": lambda n: n >= 1,
@@ -160,28 +159,13 @@ class RootSystem:
             cartan[j][i] = aji
         self.cartan = tuple(tuple(row) for row in cartan)
 
-        self.positive_roots = self._close_roots()
-        self.highest_root = self._find_theta()
+        self._coroots = self._close_roots()
+        self.positive_roots = tuple(sorted(self._coroots, key=lambda r: (sum(r), r)))
+        self.highest_root = theta = self._find_theta()
+        theta_cov = self._coroots[theta]
 
-        # symmetrizer: d_i = <alpha_i,alpha_i>/2, fixed by d_i*a_ij = d_j*a_ji
-        # along bonds, then scaled so that <theta,theta> = 2
-        d = [None] * n
-        d[0] = Fraction(1)
-        pending = [0]
-        bonds = _bonds(type_label, n)
-        while pending:
-            i = pending.pop()
-            for a, b, *_ in bonds:
-                for p, q in ((a, b), (b, a)):
-                    if p == i and d[q] is None:
-                        d[q] = d[p] * Fraction(cartan[p][q], cartan[q][p])
-                        pending.append(q)
-        # the form is linear in d, so <theta,theta> under the unscaled d
-        # gives the scale
-        self._d = tuple(d)
-        scale = Fraction(2) / self.form_on_root_coords(self.highest_root,
-                                                        self.highest_root)
-        self._d = tuple(x * scale for x in d)
+        # symmetrizer: d_i = <alpha_i,alpha_i>/2 = theta^vee_i/theta_i
+        self._d = tuple(Fraction(c, t) for c, t in zip(theta_cov, theta))
         self.form_norm = tuple(self.form_on_root_coords(a, a) for a in self.positive_roots)
         # beta(alpha_i^vee) for every positive root beta, read by the Weyl layer
         self.root_fund = {r: tuple(self.root_pairing(r, i) for i in range(1, n + 1))
@@ -192,40 +176,32 @@ class RootSystem:
         self.inverse_cartan = _invert(self.cartan)
 
         self.rho = Weight(tuple(Fraction(1) for _ in range(n)))
-        theta_cov = self.coroot(self.highest_root)
-        gstar = 1 + sum(theta_cov)
-        if gstar.denominator != 1:
-            raise AssertionError("dual Coxeter number must be an integer")
-        self.dual_coxeter = int(gstar)
+        self.dual_coxeter = 1 + sum(theta_cov)
 
     def _close_roots(self):
-        n = self.rank
-        cap = _THETA_HEIGHT[self.type_label](n)
-        roots = {tuple(int(i == j) for j in range(n)) for i in range(n)}
-        by_height = {1: sorted(roots)}
-        for h in range(1, cap):
-            nxt = []
-            for beta in by_height.get(h, ()):
-                for i in range(n):
-                    # root string: beta + alpha_i is a root iff p - beta(alpha_i^vee) > 0
-                    p = 0
-                    while True:
-                        down = list(beta)
-                        down[i] -= p + 1
-                        if min(down) < 0 or tuple(down) not in roots:
-                            break
-                        p += 1
-                    pairing = sum(c * self.cartan[i][j] for j, c in enumerate(beta))
-                    if p - pairing > 0:
-                        up = list(beta)
-                        up[i] += 1
-                        up = tuple(up)
-                        if up not in roots:
-                            roots.add(up)
-                            nxt.append(up)
-            if nxt:
-                by_height[h + 1] = sorted(nxt)
-        return tuple(sorted(roots, key=lambda r: (sum(r), r)))
+        """Every positive root beta, in simple-root coordinates, mapped to
+        its coroot on the simple coroots: the simple roots closed under
+        beta -> s_i beta = beta - beta(alpha_i^vee) alpha_i wherever
+        beta(alpha_i^vee) < 0, the coroot carried along as
+        s_i beta^vee = beta^vee - alpha_i(beta^vee) alpha_i^vee."""
+        n, cartan = self.rank, self.cartan
+        cocartan = tuple(zip(*cartan))
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        coroots = dict(zip(units, units))
+        todo = list(units)
+        while todo:
+            beta = todo.pop()
+            cov = coroots[beta]
+            for i, row in enumerate(cartan):
+                p = sum(map(mul, row, beta))
+                if p >= 0:
+                    continue
+                up = beta[:i] + (beta[i] - p,) + beta[i + 1:]
+                if up not in coroots:
+                    q = sum(map(mul, cocartan[i], cov))
+                    coroots[up] = cov[:i] + (cov[i] - q,) + cov[i + 1:]
+                    todo.append(up)
+        return coroots
 
     def _find_theta(self):
         top = max(self.positive_roots, key=sum)
@@ -269,9 +245,15 @@ class RootSystem:
         return self.weight_from_root_coords(tuple(int(j == i - 1) for j in range(self.rank)))
 
     def coroot(self, root):
-        """Coordinates of beta^vee on the simple coroots: c_j * <a_j,a_j>/<b,b>."""
-        norm = self.form_on_root_coords(root, root)
-        return tuple(Fraction(c) * 2 * self._d[j] / norm for j, c in enumerate(root))
+        """Coordinates of beta^vee on the simple coroots, for a root beta in
+        simple-root coordinates; raises ValueError for any other vector."""
+        root = tuple(root)
+        if root in self._coroots:
+            return self._coroots[root]
+        neg = tuple(-c for c in root)
+        if neg in self._coroots:
+            return tuple(-c for c in self._coroots[neg])
+        raise ValueError(f"{root} is not a root of {self!r}")
 
     def pair_weight_coroot(self, w: Weight, coroot_coords):
         """lambda(beta^vee) from coroot coordinates; lambda(alpha_i^vee) = coords[i]."""

@@ -13,7 +13,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import as_int
 from .root_system import RootSystem, Weight, CartanPoint, check_simple_type
 
 __all__ = [
@@ -192,11 +191,10 @@ class ParabolicContext:
         self.outside_pos = tuple(r for r in rs.positive_roots if r not in levi_set)
         self.dim = len(self.outside_pos)
 
-        half = [Fraction(0)] * rs.rank
-        for r in self.levi_pos:
-            for j, c in enumerate(r):
-                half[j] += Fraction(c, 2)
-        self.rho_l = rs.weight_from_root_coords(half)
+        # 2 rho_L on the simple coroots, the sum of the Levi's positive roots
+        self._two_rho_l = tuple(sum(rs.root_fund[r][i] for r in self.levi_pos)
+                                for i in range(rs.rank))
+        self.rho_l = Weight(tuple(Fraction(c, 2) for c in self._two_rho_l))
 
         # W_P fixes exactly lambda_P = sum of omega_i over S_P, so w W_P is
         # the point w(lambda_P): W^P is the orbit of lambda_P
@@ -223,13 +221,10 @@ class ParabolicContext:
         self._chi = {w: self._chi_both_ways(w) for w in self.wp}
 
         self.q_degrees = {}
-        chi_e = self.chi_e()
+        chi_e = self._chi[self.wp[0]]
         for i in sorted(s_p):
-            via_rho = 2 - 2 * self.rho_l.coords[i - 1]
-            via_chi = chi_e.coords[i - 1]
-            assert via_rho == via_chi, (i, via_rho, via_chi)
-            deg = as_int(via_rho)
-            assert deg > 0
+            deg = 2 - self._two_rho_l[i - 1]
+            assert deg == rs.root_pairing(chi_e, i) > 0, (i, deg)
             self.q_degrees[i] = deg
         self._q_degree_row = tuple(self.q_degrees[i] for i in sorted(s_p))
 
@@ -237,6 +232,7 @@ class ParabolicContext:
 
     def _s_matrix(self):
         rs = self.rs
+        theta, theta_cov = rs.highest_root, rs.coroot(rs.highest_root)
         idx = sorted(self.s_p)
         out = []
         for i in idx:
@@ -244,26 +240,26 @@ class ParabolicContext:
             for j in idx:
                 val = sum(r[i - 1] * rs.root_pairing(r, j)
                           for r in self.outside_pos)
-                assert val >= 0, (i, j, val)
-                unit = _unit(rs.rank, i - 1)
-                norm_i = rs.form_on_root_coords(unit, unit)
-                expect = Fraction(2 * rs.dual_coxeter) / norm_i if i == j else 0
-                assert val == expect, (i, j, val, expect)
+                # 2 g* / <alpha_i, alpha_i> = g* theta_i / theta^vee_i
+                assert (val * theta_cov[i - 1] == rs.dual_coxeter * theta[i - 1]
+                        if i == j else val == 0), (i, j, val)
                 row.append(val)
             out.append(tuple(row))
         return tuple(out)
 
     def _chi_both_ways(self, w):
         """chi_w in simple-root coordinates: the sum of the roots outside
-        the Levi that w keeps positive, checked against rho - 2 rho_L + w^-1 rho."""
+        the Levi that w keeps positive, checked on the simple coroots against
+        rho - 2 rho_L + w^-1 rho."""
         rs = self.rs
         acc = [0] * rs.rank
         for r in self.outside_pos:
             if w.act_fund(rs.root_fund[r]) in rs.fund_root:
                 for j, c in enumerate(r):
                     acc[j] += c
-        via_rho = rs.rho - 2 * self.rho_l + Weight(self.inverse_act(w, rs.rho.coords))
-        assert rs.weight_from_root_coords(acc) == via_rho, \
+        via_rho = [1 - a + b for a, b in zip(self._two_rho_l,
+                                             self.inverse_act(w, (1,) * rs.rank))]
+        assert [rs.root_pairing(acc, i) for i in range(1, rs.rank + 1)] == via_rho, \
             f"chi formulas disagree at {w}"
         return tuple(acc)
 
@@ -326,10 +322,6 @@ class ParabolicContext:
             moved = Weight(self.inverse_act(w, alpha.coords))
             out.append(rs.weight_value(moved, pt))
         return CartanPoint(tuple(out))
-
-
-def _unit(n, k):
-    return tuple(int(j == k) for j in range(n))
 
 
 _CONTEXTS = {}
