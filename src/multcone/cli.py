@@ -158,12 +158,14 @@ def _factors(args):
 def _read_points(args, rs):
     path = _need(args, "point", "--point")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             # numbers stay the text they were written as, so every
             # coordinate reaches the exact parser and its digit bound
             obj = json.load(fh, parse_int=str, parse_float=str)
     except OSError as exc:
         raise InputError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     try:

@@ -8,8 +8,8 @@ invariant equal to 1) is kept alongside as the baseline; the deformed list
 is always a subset of it.
 
 Everything here is exact.  The simplex solver used for the irredundancy
-certificates runs on a fraction-free integer tableau whose pivots are those
-of a rational one.
+certificates pivots the compiled integer rows in place, as a fraction-free
+tableau whose pivots are those of a rational one.
 """
 
 import itertools
@@ -22,9 +22,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .exact import as_int
 from .root_system import RootSystem, Weight, CartanPoint
-from .weyl import minimal_reps
+from .weyl import minimal_reps, render_word
 from .quantum_ring import build_structure_table, gw_invariant
 from .deformed_ring import _specialized_tuple_coeff
 
@@ -64,7 +63,6 @@ class Inequality:
         return (self.parabolic, self.d, self.words)
 
     def __str__(self):
-        from .weyl import render_word
         tup = ", ".join(render_word(w) for w in self.words)
         return f"P{self.parabolic}; ({tup}); d={self.d}"
 
@@ -248,30 +246,30 @@ def membership(rs: RootSystem, n, points, inequalities) -> MembershipVerdict:
 class _Simplex:
     """Primal simplex over the rationals with Bland's anti-cycling rule.
 
-    Constraints A x <= b with x >= 0 and b >= 0, so the slack basis starts
-    feasible and no phase-1 is needed.  Variable j < nvars is x_j and
-    variable nvars + i is the slack of row i; Bland's rule picks both the
-    entering and the leaving variable by this numbering.  The tableau is
-    condensed: row r reads x[basis[r]] + sum_c rows[r][c] x[nonbasic[c]] =
-    rows[r][-1], and a pivot swaps basis[r] with nonbasic[c].
+    The integer rows [a_1, ..., a_N, b] read a . x <= b with x >= 0 and
+    b >= 0, so the slack basis starts feasible and no phase-1 is needed;
+    they are pivoted in place.  Variable j < N is x_j and variable N + i is
+    the slack of row i; Bland's rule picks both the entering and the
+    leaving variable by this numbering.  The tableau is condensed: row r
+    reads x[basis[r]] + sum_c rows[r][c] x[nonbasic[c]] = rows[r][-1], and
+    a pivot swaps basis[r] with nonbasic[c].
     The tableau is fraction-free: row r holds integers over one positive
     denominator dens[r], and the objective row integers over obj_den, each
     divided by the gcd of its entries after every update (Bareiss, Math.
     Comp. 22, 1968).  Every test Bland's rule makes is a sign or a
     cross-multiplied ratio, so the pivots are those of a Fraction tableau.
     Each tableau is maximized once, from its slack basis, where the
-    objective row is the costs themselves.
+    objective row is the integer costs themselves.
     """
 
     MAX_PIVOTS = 200000
 
-    def __init__(self, a_rows, b):
-        self.nvars = len(a_rows[0]) if a_rows else 0
-        self.m = len(a_rows)
-        b = [as_int(v) for v in b]
-        assert all(v >= 0 for v in b), "single-phase start needs b >= 0"
-        self.rows = [[as_int(v) for v in row] + [bi]
-                     for row, bi in zip(a_rows, b)]
+    def __init__(self, rows):
+        assert all(row[-1] >= 0 for row in rows), \
+            "single-phase start needs b >= 0"
+        self.nvars = len(rows[0]) - 1 if rows else 0
+        self.m = len(rows)
+        self.rows = rows
         self.dens = [1] * self.m
         self.basis = list(range(self.nvars, self.nvars + self.m))
         self.nonbasic = list(range(self.nvars))
@@ -297,7 +295,7 @@ class _Simplex:
 
     def maximize(self, costs):
         assert self.obj is None, "a tableau is maximized once"
-        self.obj = [as_int(v) for v in costs] + [0]
+        self.obj = [*costs, 0]
         for _ in range(self.MAX_PIVOTS):
             obj = self.obj
             entering = [(j, c) for c, j in enumerate(self.nonbasic)
@@ -448,37 +446,23 @@ def _orbits(system):
     return out
 
 
-def _certify_payload(payload):
-    """Certify one inequality from plain row data (safe to run in a worker).
-
-    payload = (objective row, constraint rows, rhs column, own rhs).
-    Maximize the left side while honoring every other constraint: an
-    optimum beyond the right side is attained at a vertex violating only
-    this inequality; one that reaches no further than the right side shows
-    the others imply it.
-    """
-    obj, a_rows, b, rhs = payload
-    lp = _Simplex(a_rows, b)
-    opt = lp.maximize(obj)
-    if opt > rhs:
-        return (True, "separating-point", opt, lp.solution())
-    return (False, "dominated", opt, ())
-
-
 def _certify_row(system, j):
-    """Certify row j against every other row plus the alcove constraints;
-    the optimum comes back in the inequality's own units."""
+    """Certify row j: maximize its left side subject to every other row
+    plus the alcove constraints.  An optimum beyond the right side is
+    attained at a vertex violating only row j; one that reaches no further
+    than the right side shows the others imply it.  The optimum comes back
+    in the inequality's own units."""
     n, rank = system.n, system.rank
-    a_rows = [[0] * (k * rank) + list(system.theta) + [0] * ((n - 1 - k) * rank)
-              for k in range(n)]
-    b = [1] * n
-    for i, (coeffs, rhs) in enumerate(system.rows):
-        if i != j:
-            a_rows.append(coeffs)
-            b.append(rhs)
+    rows = [[0] * (k * rank) + list(system.theta) + [0] * ((n - 1 - k) * rank)
+            + [1] for k in range(n)]
+    rows += [[*coeffs, rhs] for i, (coeffs, rhs) in enumerate(system.rows)
+             if i != j]
     coeffs, rhs = system.rows[j]
-    ok, method, opt, witness = _certify_payload((coeffs, a_rows, b, rhs))
-    return ok, method, opt / system.scales[j], witness
+    lp = _Simplex(rows)
+    opt = lp.maximize(coeffs)
+    if opt > rhs:
+        return True, "separating-point", opt / system.scales[j], lp.solution()
+    return False, "dominated", opt / system.scales[j], ()
 
 
 _WORKER_SYSTEM = None

@@ -35,7 +35,8 @@ class Weight:
     coords: tuple
 
     # weights key the compiled-coordinate table, one lookup per factor of
-    # every inequality, so the Fraction tuple is hashed once per object
+    # every inequality, and Python does not cache a tuple's hash, so the
+    # coordinates are hashed once per object
     _hash = None
 
     def __hash__(self):
@@ -175,7 +176,7 @@ class RootSystem:
 
         self.inverse_cartan = _invert(self.cartan)
 
-        self.rho = Weight(tuple(Fraction(1) for _ in range(n)))
+        self.rho = Weight((1,) * n)
         self.dual_coxeter = 1 + sum(theta_cov)
 
     def _close_roots(self):
@@ -238,7 +239,7 @@ class RootSystem:
 
     def fundamental_weight(self, i):
         """omega_i, 1-indexed."""
-        return Weight(tuple(Fraction(int(j == i - 1)) for j in range(self.rank)))
+        return Weight(tuple(int(j == i - 1) for j in range(self.rank)))
 
     def simple_root(self, i):
         """alpha_i as a Weight, 1-indexed."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -230,6 +231,24 @@ def test_member_boundary_json(run, tmp_path):
     assert len(obj["tight"]) == 3 and obj["violated"] == []
 
 
+# member --format json stdout pinned to its sha256, which covers the lhs
+# strings of every listed row: an A3 n=4 tuple on the boundary, and a B2
+# n=3 tuple outside, with violated and tight rows
+@pytest.mark.parametrize("label, n, rows, status, digest", [
+    ("A3", 4, [["0", "1/4", "0"], ["1/4", "1/4", "0"], ["1/4", "0", "1/4"],
+               ["0", "1/4", "3/4"]], "boundary",
+     "2537f355f59cd2a099360bccfa2f5a9f3ad3b1001278742a0e027708dfd6d417"),
+    ("B2", 3, [["0", "0"], ["0", "1/2"], ["1/2", "0"]], "outside",
+     "48a4ea2f00628e182c6d472799c2cd752a148300b05f2f0bf466190c55d88a47"),
+], ids=["A3-boundary", "B2-outside"])
+def test_member_json_digest(run, tmp_path, label, n, rows, status, digest):
+    path = points_file(tmp_path, rows)
+    code, out, _ = run("member", "--type", label, "-n", str(n),
+                       "--point", path, "--format", "json")
+    assert code == 0 and json.loads(out)["status"] == status
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_member_bad_point_files(run, tmp_path):
     code, _, err = run("member", "--type", "A1", "-n", "3",
                        "--point", str(tmp_path / "nope.json"))
@@ -246,6 +265,13 @@ def test_member_bad_point_files(run, tmp_path):
     off = points_file(tmp_path, [["2"], ["0"], ["0"]], "off.json")
     code, _, err = run("member", "--type", "A1", "-n", "3", "--point", off)
     assert code == 2 and "not in the fundamental alcove" in err
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\n")
+    code, out, err = run("member", "--type", "A1", "-n", "3",
+                         "--point", str(binary))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {binary}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["member", "oracle-compare"])

@@ -379,20 +379,20 @@ def test_membership_matches_slack_reference(ms):
     assert v.tight == tuple(q for q, s in zip(qs, slacks) if s == 0)
 
 
-@pytest.mark.parametrize("a_rows, b", [
-    # the unit square, where x1 = 1 is a whole edge
-    ([[1, 0], [0, 1]], [1, 1]),
-    # the triangle x >= 0, x1 + x2 <= 1, where x1 = 1 is one vertex
-    ([[1, 1]], [1]),
+@pytest.mark.parametrize("n, theta", [
+    # two rank-1 blocks, whose alcove rows make the unit square, where
+    # x1 = 1 is a whole edge
+    (2, (1,)),
+    # one rank-2 block with theta = (1, 1), the triangle x >= 0,
+    # x1 + x2 <= 1, where x1 = 1 is one vertex
+    (1, (1, 1)),
 ], ids=["square", "triangle"])
-def test_certify_payload_bound_only_reached_is_dominated(a_rows, b):
+def test_certify_row_bound_only_reached_is_dominated(n, theta):
     # maximizing x1 against x1 <= 1 reaches the bound but cannot pass it,
     # so the other rows imply it, facet of the region or not
-    F = Fraction
-    ok, method, opt, witness = ec._certify_payload(
-        ([F(1), F(0)], [[F(v) for v in row] for row in a_rows],
-         [F(v) for v in b], F(1)))
-    assert (ok, method, opt, witness) == (False, "dominated", 1, ())
+    system = ec.CompiledSystem(n, len(theta), theta, (((1, 0), 1),), (1,),
+                               (None,))
+    assert ec._certify_row(system, 0) == (False, "dominated", 1, ())
 
 
 class _FractionSimplex:
@@ -400,11 +400,10 @@ class _FractionSimplex:
     for the integer one: the same Bland's rule, ratio test and condensed
     tableau, with every entry a Fraction."""
 
-    def __init__(self, a_rows, b):
-        self.nvars = len(a_rows[0]) if a_rows else 0
-        self.m = len(a_rows)
-        self.rows = [[Fraction(v) for v in row] + [Fraction(bi)]
-                     for row, bi in zip(a_rows, b)]
+    def __init__(self, rows):
+        self.nvars = len(rows[0]) - 1 if rows else 0
+        self.m = len(rows)
+        self.rows = [[Fraction(v) for v in row] for row in rows]
         self.basis = list(range(self.nvars, self.nvars + self.m))
         self.nonbasic = list(range(self.nvars))
         self.obj = None
@@ -468,25 +467,28 @@ def _count_pivots(lp):
 
 
 def _random_lp(rng):
-    """A bounded LP with b >= 0: random rows plus a box on every variable;
-    about a third of the right sides are 0, which makes it degenerate."""
+    """The [a_1, ..., a_N, b] rows of a bounded LP with b >= 0: random rows
+    plus a box on every variable; about a third of the right sides are 0,
+    which makes it degenerate."""
     nvars = rng.randint(2, 6)
     a_rows = [[rng.randint(-4, 4) for _ in range(nvars)]
               for _ in range(rng.randint(1, 12))]
     a_rows += [[int(i == j) for i in range(nvars)] for j in range(nvars)]
-    b = [0 if rng.random() < 1 / 3 else rng.randint(1, 9) for _ in a_rows]
-    return a_rows, b
+    return [row + [0 if rng.random() < 1 / 3 else rng.randint(1, 9)]
+            for row in a_rows]
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_integer_simplex_matches_fraction_reference(seed):
     rng = random.Random(seed)
-    a_rows, b = _random_lp(rng)
-    nvars = len(a_rows[0])
+    rows = _random_lp(rng)
+    nvars = len(rows[0]) - 1
     for _ in range(4):
-        # each objective on a fresh pair of tableaux, from the slack basis
+        # each objective on a fresh pair of tableaux, from the slack basis;
+        # the integer one pivots its rows in place, so it gets a copy
         costs = [rng.randint(-5, 5) for _ in range(nvars)]
-        lp, ref = ec._Simplex(a_rows, b), _FractionSimplex(a_rows, b)
+        lp = ec._Simplex([row[:] for row in rows])
+        ref = _FractionSimplex(rows)
         pivots, ref_pivots = _count_pivots(lp), _count_pivots(ref)
         opt = lp.maximize(costs)
         assert type(opt) is Fraction
@@ -496,6 +498,28 @@ def test_integer_simplex_matches_fraction_reference(seed):
         assert pivots == ref_pivots
     with pytest.raises(AssertionError, match="maximized once"):
         lp.maximize(costs)
+
+
+def test_simplex_refuses_a_negative_right_side():
+    with pytest.raises(AssertionError,
+                       match="single-phase start needs b >= 0"):
+        ec._Simplex([[1, 0, 1], [0, 1, -1]])
+
+
+def test_simplex_refuses_an_unbounded_lp():
+    # x1 - x2 <= 1 leaves x2, and with it x1 + x2, unbounded above
+    with pytest.raises(RuntimeError, match="unbounded"):
+        ec._Simplex([[1, -1, 1]]).maximize([1, 1])
+
+
+def test_simplex_pivot_guard(monkeypatch):
+    # the unit square needs two pivots to reach (1, 1)
+    lp = ec._Simplex([[1, 0, 1], [0, 1, 1]])
+    pivots = _count_pivots(lp)
+    assert lp.maximize([1, 1]) == 2 and pivots == [2]
+    monkeypatch.setattr(ec._Simplex, "MAX_PIVOTS", 1)
+    with pytest.raises(RuntimeError, match="simplex pivot guard exceeded"):
+        ec._Simplex([[1, 0, 1], [0, 1, 1]]).maximize([1, 1])
 
 
 @pytest.mark.parametrize("t, r, n", [
