@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from .root_system import RootSystem, Weight, CartanPoint
 from .weyl import minimal_reps, render_word
@@ -99,6 +99,7 @@ def _enumerate_system(rs, n, keep):
         qdeg = table.q_degrees[0]
         omega = rs.fundamental_weight(ip)
         codims = [ctx.codim(u) for u in ctx.wp]
+        words = [u.word for u in ctx.wp]
         # one Weight object per class, shared by every inequality using it
         moved = [u.act(omega) for u in ctx.wp]
         # the n-point coefficients are symmetric under S_n (acceptance
@@ -112,13 +113,9 @@ def _enumerate_system(rs, n, keep):
                     table, tuple(ctx.wp[k] for k in ms), (d,)):
                 continue
             for perm in _distinct_orderings(ms):
-                out.append(Inequality(
-                    parabolic=ip,
-                    words=tuple(ctx.wp[k].word for k in perm),
-                    d=d,
-                    lhs_weights=tuple(moved[k] for k in perm),
-                    rhs=d))
-    out.sort(key=lambda q: q.key())
+                pick = itemgetter(*perm)
+                out.append(Inequality(ip, pick(words), d, pick(moved), d))
+    out.sort(key=Inequality.key)
     return out
 
 
@@ -161,9 +158,12 @@ def baseline_inequalities(rs: RootSystem, n):
 class CompiledSystem:
     """An inequality list compiled to integer rows over the n*rank alcove
     coordinates of an n-tuple: rows[i] = (coeffs, rhs) reads coeffs . x <=
-    rhs and is inequalities[i] in simple-root coordinates times scales[i].
-    membership takes one in place of the list, so a caller checking many
-    tuples against one list compiles it once."""
+    rhs and is inequalities[i] in simple-root coordinates times scales[i],
+    the least positive integer that makes every coefficient integral.
+    The simple-root coordinates come from the inverse Cartan matrix taken
+    as integer rows over one common denominator.  membership takes one in
+    place of the list, so a caller checking many tuples against one list
+    compiles it once."""
     n: int
     rank: int
     theta: tuple
@@ -176,21 +176,61 @@ class CompiledSystem:
 
 
 def compile_system(rs: RootSystem, n, inequalities) -> CompiledSystem:
+    """The CompiledSystem of an inequality list, in integer arithmetic.
+
+    The inverse Cartan matrix is cleared once per call to integer rows over
+    one common denominator.  Each distinct weight goes through it once, to
+    its simple-root coordinates as integers over one denominator in lowest
+    terms, and its block is kept at every row scale it meets; a row is then
+    one lookup per factor, one lcm and a concatenation of blocks.  Raises
+    ValueError for an inequality without n factors or a weight without
+    rank coordinates."""
     inequalities = tuple(inequalities)
-    # each distinct weight u.omega_P goes through the inverse Cartan matrix once
-    coords = {}
+    rank = rs.rank
+    flat, inv_den = _integral([c for row in rs.inverse_cartan for c in row])
+    inverse = [flat[i * rank:(i + 1) * rank] for i in range(rank)]
+    # fundamental coordinates -> (den, {scale: block}), the block at scale
+    # s being the weight's simple-root coordinates times s
+    blocks = {}
     rows, scales = [], []
-    for q in inequalities:
+    for k, q in enumerate(inequalities):
+        if len(q.lhs_weights) != n:
+            raise ValueError(f"inequality {k + 1} has {len(q.lhs_weights)} "
+                             f"factors, expected n={n}")
+        entries = []
         for wgt in q.lhs_weights:
-            if wgt not in coords:
-                coords[wgt] = _integral(rs.root_coords(wgt))
-        blocks = [coords[wgt] for wgt in q.lhs_weights]
-        scale = lcm(*(den for _, den in blocks))
-        flat = tuple(c * (scale // den) for ints, den in blocks for c in ints)
-        rows.append((flat, q.rhs * scale))
+            entry = blocks.get(wgt.coords)
+            if entry is None:
+                if len(wgt.coords) != rank:
+                    raise ValueError(
+                        f"inequality {k + 1} has a weight with "
+                        f"{len(wgt.coords)} coordinates, expected {rank}")
+                entry = blocks[wgt.coords] = _root_block(
+                    wgt.coords, inverse, inv_den)
+            entries.append(entry)
+        scale = lcm(*[den for den, _ in entries])
+        row = ()
+        for den, by_scale in entries:
+            block = by_scale.get(scale)
+            if block is None:
+                block = by_scale[scale] = tuple(
+                    c * (scale // den) for c in by_scale[den])
+            row += block
+        rows.append((row, q.rhs * scale))
         scales.append(scale)
-    return CompiledSystem(n, rs.rank, tuple(rs.highest_root), tuple(rows),
+    return CompiledSystem(n, rank, tuple(rs.highest_root), tuple(rows),
                           tuple(scales), inequalities)
+
+
+def _root_block(coords, inverse, inv_den):
+    """(den, {den: ints}) with ints / den the simple-root coordinates of the
+    weight with fundamental coordinates coords, in lowest terms, through
+    the integer inverse Cartan rows inverse / inv_den."""
+    ints, den = _integral(coords)
+    nums = [sum(map(mul, row, ints)) for row in inverse]
+    den *= inv_den
+    g = gcd(den, *nums)
+    return den // g, {den // g: tuple(v // g for v in nums)}
 
 
 def _integral(values):
@@ -574,8 +614,18 @@ def inequality_to_obj(rs: RootSystem, n, q: Inequality):
 def inequality_from_obj(rs: RootSystem, obj) -> Inequality:
     if obj.get("type") != rs.type_label or obj.get("rank") != rs.rank:
         raise ValueError("inequality belongs to a different root system")
+    n = int(obj["n"])
+    for name in ("u", "lhs"):
+        if len(obj[name]) != n:
+            raise ValueError(f'inequality has {len(obj[name])} "{name}" '
+                             f'factors, expected n={n}')
+    for k, row in enumerate(obj["lhs"]):
+        if len(row) != rs.rank:
+            raise ValueError(f"factor {k + 1} has {len(row)} coordinates, "
+                             f"expected {rs.rank}")
     words = tuple(tuple(int(i) for i in w) for w in obj["u"])
-    weights = tuple(Weight(tuple(Fraction(c) for c in row)) for row in obj["lhs"])
+    weights = tuple(Weight(tuple(Fraction(c) for c in row))
+                    for row in obj["lhs"])
     return Inequality(parabolic=int(obj["parabolic"]), words=words,
                       d=int(obj["d"]), lhs_weights=weights, rhs=int(obj["rhs"]))
 

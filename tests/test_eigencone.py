@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from multcone import eigencone as ec
 from multcone.deformed_ring import deformed_coeff_tuple
 from multcone.quantum_ring import gw_invariant
-from multcone.root_system import CartanPoint, Weight, build_root_system
+from multcone.root_system import (CartanPoint, RootSystem, Weight,
+                                  build_root_system)
 
 A1 = build_root_system("A", 1)
 B2 = build_root_system("B", 2)
@@ -69,6 +71,72 @@ def test_membership_validation(a1_n3):
         ec.membership(A1, 3, [pt(2), pt(0), pt(0)], a1_n3)
     with pytest.raises(ValueError, match="has 2 coordinates"):
         ec.membership(A1, 3, [pt(0, 0), pt(0), pt(0)], a1_n3)
+
+
+def test_membership_refuses_a_system_of_another_shape(a1_n3):
+    # (+, -, -) with right side 0 is strict at (1, 1, 1); cut to its first
+    # two factors it would read tight there
+    q = next(q for q in a1_n3 if _signs(q) == (1, -1, -1))
+    points = [pt(1)] * 3
+    assert ec.membership(A1, 3, points, [q]).status == "inside"
+    cut = dataclasses.replace(q, words=q.words[:2],
+                              lhs_weights=q.lhs_weights[:2])
+    with pytest.raises(ValueError, match="2 factors, expected n=3"):
+        ec.membership(A1, 3, points, [cut])
+    wide = dataclasses.replace(
+        q, lhs_weights=(Weight((1, 0)),) + q.lhs_weights[1:])
+    with pytest.raises(ValueError, match="weight with 2 coordinates, "
+                                         "expected 1"):
+        ec.compile_system(A1, 3, [wide])
+
+
+def _reference_compile(rs, qs):
+    """rows and scales by the Fraction formula: each weight through
+    rs.root_coords, each row scaled by the lcm of its blocks' denominators."""
+    rows, scales = [], []
+    for q in qs:
+        blocks = [ec._integral(rs.root_coords(w)) for w in q.lhs_weights]
+        scale = lcm(*(den for _, den in blocks))
+        rows.append((tuple(c * (scale // den) for ints, den in blocks
+                           for c in ints), q.rhs * scale))
+        scales.append(scale)
+    return tuple(rows), tuple(scales)
+
+
+def _hand_built(rs, n):
+    qs = ec.generate_inequalities(rs, n)
+    # Fraction coordinates, rows scaled by 2, by 1/3 and by -1, and a copy
+    read = [ec.inequality_from_obj(rs, ec.inequality_to_obj(rs, n, q))
+            for q in qs]
+    return (read + [_scaled(q, f) for q in qs[:6]
+                    for f in (2, Fraction(1, 3), -1)] + [qs[0]])
+
+
+@pytest.mark.parametrize("t, r, n, hand", [
+    ("B", 2, 3, False), ("G", 2, 3, False), ("C", 2, 3, False),
+    ("B", 3, 3, False), ("C", 3, 3, False), ("A", 2, 4, False),
+    ("A", 3, 4, False), ("B", 2, 3, True), ("G", 2, 3, True),
+    ("A", 2, 4, True),
+])
+def test_compile_matches_fraction_reference(t, r, n, hand):
+    rs = build_root_system(t, r)
+    qs = _hand_built(rs, n) if hand else ec.generate_inequalities(rs, n)
+    system = ec.compile_system(rs, n, qs)
+    assert (system.rows, system.scales) == _reference_compile(rs, qs)
+
+
+def test_compile_and_membership_skip_root_coords(monkeypatch):
+    A3 = build_root_system("A", 3)
+    qs = ec.generate_inequalities(A3, 4)
+    expected = ec.compile_system(A3, 4, qs)
+
+    def refuse(self, w):
+        raise AssertionError("root_coords called on the integer path")
+    monkeypatch.setattr(RootSystem, "root_coords", refuse)
+    assert ec.compile_system(A3, 4, qs) == expected
+    points = [pt(0, "1/4", 0), pt("1/4", "1/4", 0), pt("1/4", 0, "1/4"),
+              pt(0, "1/4", "3/4")]
+    assert ec.membership(A3, 4, points, qs).status == "boundary"
 
 
 def test_slack_values(a1_n3):
@@ -307,6 +375,18 @@ def test_inequality_json_round_trip(a1_n3):
         assert ec.inequality_from_obj(A1, obj) == q
     with pytest.raises(ValueError, match="different root system"):
         ec.inequality_from_obj(B2, ec.inequality_to_obj(A1, 3, a1_n3[0]))
+
+
+def test_inequality_from_obj_refuses_a_misshapen_lhs(a1_n3):
+    obj = ec.inequality_to_obj(A1, 3, a1_n3[0])
+    with pytest.raises(ValueError, match='2 "lhs" factors, expected n=3'):
+        ec.inequality_from_obj(A1, dict(obj, lhs=obj["lhs"][:2]))
+    with pytest.raises(ValueError, match='2 "u" factors, expected n=3'):
+        ec.inequality_from_obj(A1, dict(obj, u=obj["u"][:2]))
+    with pytest.raises(ValueError, match="factor 2 has 2 coordinates, "
+                                         "expected 1"):
+        ec.inequality_from_obj(
+            A1, dict(obj, lhs=[obj["lhs"][0], ["1", "0"], obj["lhs"][2]]))
 
 
 def test_points_json_round_trip():
