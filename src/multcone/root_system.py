@@ -34,21 +34,6 @@ class Weight:
     """A weight in fundamental-weight coordinates: coords[i] = lambda(alpha_{i+1}^vee)."""
     coords: tuple
 
-    # weights key the compiled-coordinate table, one lookup per factor of
-    # every inequality, and Python does not cache a tuple's hash, so the
-    # coordinates are hashed once per object
-    _hash = None
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.coords,))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __reduce__(self):
-        return (Weight, (self.coords,))
-
     def __add__(self, other):
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
 

@@ -6,15 +6,21 @@ oracle searches for a witness by seeded random restarts plus Riemannian
 gradient descent over the conjugating unitaries.  Each step is taken along
 the Cayley map (Wen and Yin, Math. Program. 142, 2013), which sends the
 projected gradient in u(N), or in sp(4) for Sp(4), to a group element with
-one linear solve; each restart backtracks on its own.  Candidates are
-polished by cyclically re-solving one factor at a time from the
-eigenvectors of what the other factors force it to be: the best restart at
-iterations 0, 1, 2, 4, 8, ..., stopping the search at the first checked
-witness far below tolerance, and otherwise the ten best at the end.  The
-descent ends after ITERS iterations, or sooner once the best value has
-stalled (fallen by at most STALL_RTOL of itself over STALL_WINDOW
-iterations); since that follows the best restart, the iteration it ends on
-depends on the whole batch.
+one linear solve; each restart backtracks on its own.  The gradient needs
+no prefix or suffix products: on unitaries, the gradient of
+|M_1 ... M_n - I|^2 in the k-th conjugating unitary is the skew-Hermitian
+part of R_k - R_{k+1}, where R_k = M_k ... M_n M_1 ... M_{k-1} are the
+cyclic rotations of the residual's product P = R_1 and
+R_{k+1} = M_k^dag R_k M_k.
+
+Candidates are polished by cyclically re-solving one factor at a time from
+the eigenvectors of what the other factors force it to be: the best
+restart at iterations 0, 1, 2, 4, 8, ..., stopping the search at the first
+checked witness far below tolerance, and otherwise the ten best at the
+end.  The descent ends after ITERS iterations, or sooner once the best
+value has stalled (fallen by at most STALL_RTOL of itself over
+STALL_WINDOW iterations); since that follows the best restart, the
+iteration it ends on depends on the whole batch.
 
 The search is one-sided: a witness below tolerance certifies feasibility,
 failure to find one proves nothing.  The SU(2) case also has an exact
@@ -63,10 +69,13 @@ def group_rep(label) -> GroupRep:
 
 
 def rep_for_root_system(rs: RootSystem) -> GroupRep:
+    """The group whose defining representation models `rs`, holding `rs`
+    itself."""
     key = (rs.type_label, rs.rank)
     if key not in _BY_ROOT_SYSTEM:
         raise ValueError(f"no unitary model wired for {rs.type_label}{rs.rank}")
-    return group_rep(_BY_ROOT_SYSTEM[key])
+    label = _BY_ROOT_SYSTEM[key]
+    return GroupRep(label, rs, _GROUPS[label][2])
 
 
 def phases_exact(rep: GroupRep, pt):
@@ -130,46 +139,55 @@ def _sp_project(s):
     return 0.5 * (s + jtj)
 
 
+def _mm(a, b):
+    """Batched product of small matrices, one broadcast multiply-add per
+    inner index; on the 2x2 to 4x4 blocks of a search this is at least as
+    fast as `@`, which makes one BLAS call per matrix."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    return out
+
+
 def _conjugate(us, ds):
     # us: (r, n, N, N), ds: (n, N) diagonal phases -> class matrices (r, n, N, N)
-    return (us * ds[None, :, None, :]) @ _dagger(us)
+    return _mm(us * ds[None, :, None, :], _dagger(us))
 
 
-def _residual_sq(mats):
-    r, n, big = mats.shape[0], mats.shape[1], np.eye(mats.shape[-1])
+def _product(mats):
+    """The product M_1 ... M_n of each restart's class matrices."""
     p = mats[:, 0]
-    for k in range(1, n):
-        p = p @ mats[:, k]
-    diff = p - big
+    for k in range(1, mats.shape[1]):
+        p = _mm(p, mats[:, k])
+    return p
+
+
+def _residual_sq(prod):
+    diff = prod - np.eye(prod.shape[-1])
     return np.sum(np.abs(diff) ** 2, axis=(-2, -1))
 
 
-def _gradient(rep, mats):
+def _gradient(rep, mats, prod):
     """Riemannian gradients of the residual in each factor's conjugating
-    unitary, batched over restarts; returns (grad, squared norm per restart)."""
-    restarts, n, bigN, _ = mats.shape
-    eye = np.eye(bigN)
-    # prefix and suffix products around each factor
-    pre = [np.broadcast_to(eye, mats[:, 0].shape)]
-    for k in range(n - 1):
-        pre.append(pre[-1] @ mats[:, k])
-    suf = [np.broadcast_to(eye, mats[:, 0].shape)]
-    for k in range(n - 1, 0, -1):
-        suf.append(mats[:, k] @ suf[-1])
-    suf.reverse()
-    pm1d = _dagger(pre[-1] @ mats[:, -1] - eye)
+    unitary, batched over restarts; returns (grad, squared norm per restart).
 
-    grads = []
-    norm2 = np.zeros(restarts)
-    for k in range(n):
-        m = suf[k] @ pm1d @ pre[k]
-        c = mats[:, k] @ m - m @ mats[:, k]
-        g = 0.5 * (_dagger(c) - c)
-        if rep.label == "Sp4":
-            g = _sp_project(g)
-        grads.append(g)
-        norm2 += np.sum(np.abs(g) ** 2, axis=(-2, -1))
-    return np.stack(grads, axis=1), norm2
+    With pre_k = M_1 ... M_{k-1} and suf_k = M_{k+1} ... M_n, the Euclidean
+    gradient gives c_k = M_k m_k - m_k M_k for m_k = suf_k (P - I)^dag pre_k.
+    On unitaries m_k = M_k^dag - suf_k pre_k, so c_k = R_{k+1} - R_k for the
+    cyclic rotations R_k = M_k ... M_n M_1 ... M_{k-1} of the product P:
+    R_1 = R_{n+1} = P and R_{k+1} = M_k^dag R_k M_k.  The gradient in the
+    k-th unitary is the skew-Hermitian part of -c_k."""
+    n = mats.shape[1]
+    rots = [prod]
+    for k in range(n - 1):
+        m = mats[:, k]
+        rots.append(_mm(_dagger(m), _mm(rots[-1], m)))
+    rots.append(prod)
+    c = np.stack(rots[1:], axis=1) - np.stack(rots[:-1], axis=1)
+    g = 0.5 * (_dagger(c) - c)
+    if rep.label == "Sp4":
+        g = _sp_project(g)
+    return g, np.sum(np.abs(g) ** 2, axis=(-3, -2, -1))
 
 
 def _descent(rep, ds, restarts, seed, iters, stop_below, checkpoint):
@@ -197,7 +215,8 @@ def _descent(rep, ds, restarts, seed, iters, stop_below, checkpoint):
 
     eta = np.full(restarts, 0.2)
     mats = _conjugate(us, ds)
-    f = _residual_sq(mats)
+    prod = _product(mats)
+    f = _residual_sq(prod)
     history = []    # best value at the start of each iteration
     for it in range(iters):
         best = np.argmin(f)
@@ -209,7 +228,7 @@ def _descent(rep, ds, restarts, seed, iters, stop_below, checkpoint):
             break
         if it & (it - 1) == 0 and checkpoint(mats[best]):
             break
-        grad, norm2 = _gradient(rep, mats)
+        grad, norm2 = _gradient(rep, mats, prod)
 
         # backtracking: halve the step until the Armijo bound holds, stepping
         # again only the restarts whose last candidate was refused
@@ -217,12 +236,15 @@ def _descent(rep, ds, restarts, seed, iters, stop_below, checkpoint):
         for _ in range(10):
             if not live.size:
                 break
-            cand_us = _cayley(-eta[live, None, None, None] * grad[live]) @ us[live]
+            cand_us = _mm(_cayley(-eta[live, None, None, None] * grad[live]),
+                          us[live])
             cand_mats = _conjugate(cand_us, ds)
-            cand_f = _residual_sq(cand_mats)
+            cand_prod = _product(cand_mats)
+            cand_f = _residual_sq(cand_prod)
             good = cand_f <= f[live] - 1e-4 * eta[live] * norm2[live]
             took = live[good]
-            us[took], mats[took], f[took] = cand_us[good], cand_mats[good], cand_f[good]
+            us[took], mats[took] = cand_us[good], cand_mats[good]
+            prod[took], f[took] = cand_prod[good], cand_f[good]
             live = live[~good]
             eta[live] /= 2
         accepted = np.ones(restarts, dtype=bool)
@@ -235,20 +257,16 @@ def _descent(rep, ds, restarts, seed, iters, stop_below, checkpoint):
 
 def _match_eigs(vals, targets):
     """Greedy assignment of computed eigenvalues to target phases; returns
-    (permutation, worst angular error)."""
-    used = [False] * len(vals)
+    (permutation, worst angular error).  Each target in turn takes the
+    nearest unused eigenvalue, the first one on a tie."""
+    errs = np.abs(np.angle(vals[None, :] / targets[:, None])).tolist()
+    free = list(range(len(vals)))
     perm, worst = [], 0.0
-    for t in targets:
-        best_j, best_err = None, None
-        for j, v in enumerate(vals):
-            if used[j]:
-                continue
-            err = abs(np.angle(v / t))
-            if best_err is None or err < best_err:
-                best_j, best_err = j, err
-        used[best_j] = True
-        perm.append(best_j)
-        worst = max(worst, best_err)
+    for row in errs:
+        j = min(free, key=row.__getitem__)
+        free.remove(j)
+        perm.append(j)
+        worst = max(worst, row[j])
     return perm, worst
 
 

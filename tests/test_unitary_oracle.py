@@ -26,7 +26,10 @@ def test_group_catalogue():
 def test_rep_for_root_system():
     for t, r, label in [("A", 1, "SU2"), ("A", 2, "SU3"),
                         ("A", 3, "SU4"), ("C", 2, "Sp4")]:
-        assert uo.rep_for_root_system(build_root_system(t, r)).label == label
+        rs = build_root_system(t, r)
+        rep = uo.rep_for_root_system(rs)
+        assert rep.label == label and rep.rs is rs
+        assert rep.dim == uo.group_rep(label).dim
     with pytest.raises(ValueError, match="no unitary model"):
         uo.rep_for_root_system(build_root_system("B", 2))
 
@@ -173,6 +176,147 @@ def test_cayley_step_stays_in_the_group(seed, dim, step):
             assert np.linalg.norm(m.T @ uo._J4 @ m - uo._J4) <= 1e-12
 
 
+def _random_group_batch(label, shape, seed):
+    # group elements exp(s) for random s in the Lie algebra
+    big = uo.group_rep(label).dim
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal(shape + (big, big))
+         + 1j * rng.standard_normal(shape + (big, big)))
+    s = 0.5 * (z - np.conj(np.swapaxes(z, -1, -2)))
+    if label == "Sp4":
+        s = uo._sp_project(s)
+    return uo._expm_skew(s)
+
+
+def _reference_gradient(rep, mats):
+    # the Euclidean gradient m_k = suf_k (P - I)^dag pre_k from the prefix
+    # and suffix products around each factor, then the skew part of
+    # M_k m_k - m_k M_k; it does not assume the factors are unitary
+    restarts, n, big, _ = mats.shape
+    eye = np.eye(big)
+    pre = [np.broadcast_to(eye, mats[:, 0].shape)]
+    for k in range(n - 1):
+        pre.append(pre[-1] @ mats[:, k])
+    suf = [np.broadcast_to(eye, mats[:, 0].shape)]
+    for k in range(n - 1, 0, -1):
+        suf.append(mats[:, k] @ suf[-1])
+    suf.reverse()
+    pm1d = uo._dagger(pre[-1] @ mats[:, -1] - eye)
+    grads = []
+    norm2 = np.zeros(restarts)
+    for k in range(n):
+        m = suf[k] @ pm1d @ pre[k]
+        c = mats[:, k] @ m - m @ mats[:, k]
+        g = 0.5 * (uo._dagger(c) - c)
+        if rep.label == "Sp4":
+            g = uo._sp_project(g)
+        grads.append(g)
+        norm2 += np.sum(np.abs(g) ** 2, axis=(-2, -1))
+    return np.stack(grads, axis=1), norm2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("label", ["SU2", "SU3", "SU4", "Sp4"])
+def test_gradient_matches_prefix_suffix_reference(label, n):
+    rep = uo.group_rep(label)
+    for seed in range(5):
+        mats = _random_group_batch(label, (7, n), seed)
+        grad, norm2 = uo._gradient(rep, mats, uo._product(mats))
+        want, want_norm2 = _reference_gradient(rep, mats)
+        assert grad.shape == want.shape
+        assert np.abs(grad - want).max() <= 1e-12
+        assert np.abs(norm2 - want_norm2).max() <= 1e-12 * want_norm2.max()
+
+
+@pytest.mark.parametrize("label", ["SU3", "Sp4"])
+def test_gradient_is_the_slope_along_the_cayley_step(label):
+    # d/dt f(cayley(-t G) U) at t = 0 is -2 |G|^2 for the residual f
+    rep = uo.group_rep(label)
+    coords = {"SU3": [("3/4", "0"), ("3/4", "0"), ("0", "3/4")],
+              "Sp4": [("1/4", "1/2")] * 3}[label]
+    ds = np.array([[np.exp(2j * np.pi * float(e))
+                    for e in uo.phases_exact(rep, cp(*c))] for c in coords])
+    us = _random_group_batch(label, (6, 3), 11)
+    mats = uo._conjugate(us, ds)
+    grad, norm2 = uo._gradient(rep, mats, uo._product(mats))
+
+    def f(t):
+        step = uo._mm(uo._cayley(-t * grad), us)
+        return uo._residual_sq(uo._product(uo._conjugate(step, ds)))
+    h = 1e-5
+    slope = (f(h) - f(-h)) / (2 * h)
+    assert np.all(norm2 > 1e-3)
+    assert np.abs(slope + 2 * norm2).max() <= 1e-6 * norm2.max()
+
+
+@pytest.mark.parametrize("shape", [(6, 2, 2), (6, 3, 3), (6, 4, 4),
+                                   (6, 3, 3, 3), (6, 3, 4, 4), (6, 4, 4, 4)])
+def test_mm_matches_matmul(shape):
+    big = shape[-1]
+    label = {2: "SU2", 3: "SU3", 4: "SU4"}[big]
+    a = _random_group_batch(label, shape[:-2], 1)
+    b = _random_group_batch(label, shape[:-2], 2)
+    got = uo._mm(a, b)
+    assert got.shape == shape
+    assert np.abs(got - a @ b).max() <= 1e-14
+
+
+def _reference_match_eigs(vals, targets):
+    used = [False] * len(vals)
+    perm, worst = [], 0.0
+    for t in targets:
+        best_j, best_err = None, None
+        for j, v in enumerate(vals):
+            if used[j]:
+                continue
+            err = abs(np.angle(v / t))
+            if best_err is None or err < best_err:
+                best_j, best_err = j, err
+        used[best_j] = True
+        perm.append(best_j)
+        worst = max(worst, best_err)
+    return perm, worst
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), big=st.sampled_from([2, 3, 4]),
+       ties=st.booleans())
+def test_match_eigs_matches_the_scalar_loop(seed, big, ties):
+    rng = np.random.default_rng(seed)
+    vals = np.exp(2j * np.pi * rng.random(big))
+    targets = vals[rng.permutation(big)] * np.exp(0.1j * rng.standard_normal(big))
+    if ties:
+        # repeated eigenvalues and targets: the first nearest one wins
+        vals[-1] = vals[0]
+        targets[-1] = targets[0]
+    perm, worst = uo._match_eigs(vals, targets)
+    want_perm, want_worst = _reference_match_eigs(vals, targets)
+    assert perm == want_perm and worst == want_worst
+
+
+@pytest.mark.parametrize("label, coords", [
+    ("SU3", [("3/4", "0"), ("3/4", "0"), ("0", "3/4")]),
+    ("Sp4", [("1/4", "1/2")] * 3),
+])
+def test_descent_stops_where_the_reference_gradient_does(monkeypatch, label,
+                                                        coords):
+    rep = uo.group_rep(label)
+    pts = [cp(*c) for c in coords]
+    steps = _count_steps(monkeypatch)
+    got = uo.numeric_membership(rep, pts, restarts=40)
+    stop = len(steps)
+    steps.clear()
+
+    def reference(rep, mats, prod):
+        steps.append(1)
+        return _reference_gradient(rep, mats)
+    monkeypatch.setattr(uo, "_gradient", reference)
+    want = uo.numeric_membership(rep, pts, restarts=40)
+    assert stop == len(steps) < uo.ITERS
+    assert not got.feasible and not want.feasible
+    assert abs(got.residual - want.residual) <= 1e-9 * want.residual
+
+
 def _outside_su3():
     rep = uo.group_rep("SU3")
     pts = [cp("3/4", "0"), cp("3/4", "0"), cp("0", "3/4")]
@@ -210,9 +354,9 @@ def _count_steps(monkeypatch):
     steps = []
     gradient = uo._gradient
 
-    def counted(rep, mats):
+    def counted(*args):
         steps.append(1)
-        return gradient(rep, mats)
+        return gradient(*args)
     monkeypatch.setattr(uo, "_gradient", counted)
     return steps
 
