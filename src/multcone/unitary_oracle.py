@@ -1,17 +1,17 @@
 """Numerical membership oracle in a faithful unitary representation.
 
 A tuple of alcove points is feasible when the identity can be written as a
-product of matrices drawn from the corresponding conjugacy classes.  The
-oracle searches for a witness by seeded random restarts plus Riemannian
-gradient descent over the conjugating unitaries.  Each step is taken along
-the Cayley map (Wen and Yin, Math. Program. 142, 2013), which sends the
-projected gradient in u(N), or in sp(4) for Sp(4), to a group element with
-one linear solve; each restart backtracks on its own.  The gradient needs
-no prefix or suffix products: on unitaries, the gradient of
-|M_1 ... M_n - I|^2 in the k-th conjugating unitary is the skew-Hermitian
-part of R_k - R_{k+1}, where R_k = M_k ... M_n M_1 ... M_{k-1} are the
-cyclic rotations of the residual's product P = R_1 and
-R_{k+1} = M_k^dag R_k M_k.
+product of matrices drawn from the corresponding conjugacy classes of
+SU(r+1) for A_r or Sp(2r) for C_r, where the class of mu has the phases
+w(mu) over the orbit of omega_1.  Seeded random restarts of gradient
+descent over the conjugating unitaries search for a witness, each step
+along the Cayley map (Wen and Yin, Math. Program. 142, 2013), which sends
+the projected gradient in u(N) or sp(2r) to a group element with one
+linear solve; each restart backtracks on its own.  On unitaries the
+gradient of |M_1 ... M_n - I|^2 in the k-th conjugating unitary is the
+skew-Hermitian part of R_k - R_{k+1}, with no prefix or suffix products:
+R_k = M_k ... M_n M_1 ... M_{k-1} are the cyclic rotations of the
+residual's product P = R_1 and R_{k+1} = M_k^dag R_k M_k.
 
 Candidates are polished by cyclically re-solving one factor at a time from
 the eigenvectors of what the other factors force it to be: the best
@@ -27,30 +27,22 @@ failure to find one proves nothing.  The SU(2) case also has an exact
 closed form (the odd-subset inequalities) used as a cross-check.
 """
 
+import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .root_system import RootSystem, build_root_system
+from .root_system import RootSystem, Weight, build_root_system
+from .weyl import _orbit
 
 __all__ = [
     "GroupRep", "group_rep", "rep_for_root_system", "phases_exact",
     "class_matrix", "OracleVerdict", "check_search_settings",
     "numeric_membership", "su2_reference_membership",
 ]
-
-_GROUPS = {
-    "SU2": ("A", 1, 2),
-    "SU3": ("A", 2, 3),
-    "SU4": ("A", 3, 4),
-    "Sp4": ("C", 2, 4),
-}
-
-_BY_ROOT_SYSTEM = {(t, r): label for label, (t, r, _) in _GROUPS.items()}
-
-_J4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
 
 
 @dataclass(frozen=True)
@@ -59,38 +51,41 @@ class GroupRep:
     label: str
     rs: RootSystem
     dim: int
+    weights: tuple      # simple-root coordinates, one per diagonal entry
+    symplectic: bool    # whether it preserves J = [[0, I], [-I, 0]]
 
 
 def group_rep(label) -> GroupRep:
-    if label not in _GROUPS:
-        raise ValueError(f"unknown group {label!r}; choose from {sorted(_GROUPS)}")
-    t, r, dim = _GROUPS[label]
-    return GroupRep(label, build_root_system(t, r), dim)
+    """SU<N> (N >= 2) or Sp<2r> (r >= 2), built from A_{N-1} or C_r."""
+    m = re.fullmatch(r"SU([2-9]|[1-9]\d+)|Sp([468]|[1-9]\d*[02468])", label)
+    if not m:
+        raise ValueError(f"unknown group {label!r}; choose SU<N> with N >= 2 "
+                         f"or Sp<2r> with r >= 2")
+    t, r = ("A", int(m[1]) - 1) if m[1] else ("C", int(m[2]) // 2)
+    return rep_for_root_system(build_root_system(t, r))
 
 
 def rep_for_root_system(rs: RootSystem) -> GroupRep:
-    """The group whose defining representation models `rs`, holding `rs`
-    itself."""
-    key = (rs.type_label, rs.rank)
-    if key not in _BY_ROOT_SYSTEM:
+    """SU(r+1) for A_r or Sp(2r) for C_r, holding `rs` itself.  Its weights
+    are the orbit of omega_1 in (length, lex word) order; for C_r the first
+    r of them, then their negatives, so phase k + r is minus phase k."""
+    if rs.type_label not in ("A", "C"):
         raise ValueError(f"no unitary model wired for {rs.type_label}{rs.rank}")
-    label = _BY_ROOT_SYSTEM[key]
-    return GroupRep(label, rs, _GROUPS[label][2])
+    orbit = [rs.root_coords(Weight(p))
+             for p in _orbit(rs, rs.fundamental_weight(1).coords)]
+    symplectic = rs.type_label == "C"
+    if symplectic:
+        orbit[rs.rank:] = [tuple(-c for c in w) for w in orbit[:rs.rank]]
+    label = ("Sp" if symplectic else "SU") + str(len(orbit))
+    return GroupRep(label, rs, len(orbit), tuple(orbit), symplectic)
 
 
 def phases_exact(rep: GroupRep, pt):
     """Exact rational exponents e_i of the class representative
-    Exp(2 pi i mu) = diag(exp(2 pi i e_i)), from the alcove coordinates."""
+    Exp(2 pi i mu) = diag(exp(2 pi i e_i)): e_i = w_i(mu) over rep.weights."""
     m = [Fraction(c) for c in pt.coords]
-    if rep.label.startswith("SU"):
-        # partial sums of the m_j give the diagonal before recentering
-        s = [sum(m[i:], Fraction(0)) for i in range(len(m))] + [Fraction(0)]
-        mean = sum(s) / rep.dim
-        return tuple(v - mean for v in s)
-    # Sp4: coordinates on the two standard phases, then their negatives
-    e1 = m[0] + m[1] / 2
-    e2 = m[1] / 2
-    return (e1, e2, -e1, -e2)
+    return tuple(sum((c * x for c, x in zip(w, m)), Fraction(0))
+                 for w in rep.weights)
 
 
 def class_matrix(rep: GroupRep, pt):
@@ -116,8 +111,8 @@ def _expm_skew(s):
 def _cayley(a):
     """Cayley map (I - a/2)^-1 (I + a/2) of batched skew-Hermitian matrices.
 
-    It agrees with exp to second order and maps u(N) into U(N), and sp(4)
-    into Sp(4), exactly up to rounding, for one batched linear solve."""
+    It agrees with exp to second order and maps u(N) into U(N), and sp(2r)
+    into Sp(2r), exactly up to rounding, for one batched linear solve."""
     half = 0.5 * a
     eye = np.eye(a.shape[-1])
     return np.linalg.solve(eye - half, eye + half)
@@ -127,15 +122,25 @@ def _dagger(a):
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def _sp_project(s):
-    # tangent projection onto the symplectic subalgebra, (s + J s^T J) / 2;
-    # for the blocks [[A, B], [C, D]] of s^T, J s^T J is [[-D, C], [B, -A]]
+@functools.cache
+def _form(dim):
+    """J = [[0, I], [-I, 0]], kept by Sp(dim); shared, so never written."""
+    return np.kron([[0, 1], [-1, 0]], np.eye(dim // 2))
+
+
+def _project(rep, s):
+    """Tangent projection of skew-Hermitian matrices onto the group's Lie
+    algebra: the identity for u(N), (s + J s^T J) / 2 for sp(2r); for the
+    r x r blocks [[A, B], [C, D]] of s^T, J s^T J is [[-D, C], [B, -A]]."""
+    if not rep.symplectic:
+        return s
+    r = rep.dim // 2
     t = np.swapaxes(s, -1, -2)
     jtj = np.empty_like(s)
-    jtj[..., :2, :2] = -t[..., 2:, 2:]
-    jtj[..., :2, 2:] = t[..., 2:, :2]
-    jtj[..., 2:, :2] = t[..., :2, 2:]
-    jtj[..., 2:, 2:] = -t[..., :2, :2]
+    jtj[..., :r, :r] = -t[..., r:, r:]
+    jtj[..., :r, r:] = t[..., r:, :r]
+    jtj[..., r:, :r] = t[..., :r, r:]
+    jtj[..., r:, r:] = -t[..., :r, :r]
     return 0.5 * (s + jtj)
 
 
@@ -184,9 +189,7 @@ def _gradient(rep, mats, prod):
         rots.append(_mm(_dagger(m), _mm(rots[-1], m)))
     rots.append(prod)
     c = np.stack(rots[1:], axis=1) - np.stack(rots[:-1], axis=1)
-    g = 0.5 * (_dagger(c) - c)
-    if rep.label == "Sp4":
-        g = _sp_project(g)
+    g = _project(rep, 0.5 * (_dagger(c) - c))
     return g, np.sum(np.abs(g) ** 2, axis=(-3, -2, -1))
 
 
@@ -201,17 +204,12 @@ def _descent(rep, ds, restarts, seed, iters, stop_below, checkpoint):
     the other restarts in the batch; where the stall stop ends the descent
     does, since it follows the best restart."""
     n, bigN = ds.shape
-    children = np.random.SeedSequence(seed).spawn(restarts)
-    inits = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        z = rng.standard_normal((n, bigN, bigN)) + 1j * rng.standard_normal((n, bigN, bigN))
-        inits.append(z)
-    h = np.stack(inits)
-    s = 0.5 * (h - _dagger(h))
-    if rep.label == "Sp4":
-        s = _sp_project(s)
-    us = _expm_skew(s)
+    shape = (n, bigN, bigN)
+    rngs = map(np.random.default_rng,
+               np.random.SeedSequence(seed).spawn(restarts))
+    h = np.stack([g.standard_normal(shape) + 1j * g.standard_normal(shape)
+                  for g in rngs])
+    us = _expm_skew(_project(rep, 0.5 * (h - _dagger(h))))
 
     eta = np.full(restarts, 0.2)
     mats = _conjugate(us, ds)
@@ -279,16 +277,19 @@ def _rebuild_factor(rep, target, diag):
     if worst > 0.5:
         return None
     v = vecs[:, perm]
-    if rep.label == "Sp4":
-        # symplectic frame: the second pair of columns is forced by the
-        # first, keeping the form exactly
-        v1 = v[:, 0] / np.linalg.norm(v[:, 0])
-        v2 = v[:, 1] - (np.conj(v1) @ v[:, 1]) * v1
-        v2 = v2 / np.linalg.norm(v2)
-        u = np.stack([v1, v2, -_J4 @ np.conj(v1), -_J4 @ np.conj(v2)], axis=1)
+    if rep.symplectic:
+        # symplectic frame: Gram-Schmidt on the first r columns, then -J conj
+        # of them; this keeps the form if the first r are isotropic, as for a
+        # symplectic target unless two first-r phases are both 0 or both 1/2
+        r = rep.dim // 2
+        for k in range(r):
+            for j in range(k):
+                v[:, k] -= (np.conj(v[:, j]) @ v[:, k]) * v[:, j]
+            v[:, k] /= np.linalg.norm(v[:, k])
+        v[:, r:] = -_form(rep.dim) @ np.conj(v[:, :r])
     else:
-        u, _ = np.linalg.qr(v)
-    return (u * diag[None, :]) @ np.conj(u.T)
+        v, _ = np.linalg.qr(v)
+    return (v * diag[None, :]) @ np.conj(v.T)
 
 
 def _polish(rep, ds, mats, cycles):
@@ -299,9 +300,7 @@ def _polish(rep, ds, mats, cycles):
     mats = [np.array(m) for m in mats]
 
     def res():
-        p = eye
-        for m in mats:
-            p = p @ m
+        p = functools.reduce(np.matmul, mats, eye)
         return float(np.linalg.norm(p - eye))
 
     best = res()
@@ -309,12 +308,8 @@ def _polish(rep, ds, mats, cycles):
     stalls = 0
     for _ in range(cycles):
         for k in range(n):
-            left = eye
-            for j in range(k):
-                left = left @ mats[j]
-            right = eye
-            for j in range(k + 1, n):
-                right = right @ mats[j]
+            left = functools.reduce(np.matmul, mats[:k], eye)
+            right = functools.reduce(np.matmul, mats[k + 1:], eye)
             target = np.conj(left.T) @ np.conj(right.T)
             nxt = _rebuild_factor(rep, target, ds[k])
             if nxt is not None:
@@ -333,11 +328,12 @@ def _polish(rep, ds, mats, cycles):
 
 def _valid_witness(rep, mats, ds):
     """Witness sanity: unitary, right spectrum came by construction; for
-    Sp4 the symplectic form must be preserved to close to machine precision."""
+    Sp(2r) the form must be preserved to close to machine precision."""
+    form = _form(rep.dim) if rep.symplectic else None
     for m in mats:
         if np.linalg.norm(np.conj(m.T) @ m - np.eye(rep.dim)) > 1e-9:
             return False
-        if rep.label == "Sp4" and np.linalg.norm(m.T @ _J4 @ m - _J4) > 1e-8:
+        if form is not None and np.linalg.norm(m.T @ form @ m - form) > 1e-8:
             return False
     return True
 
@@ -385,6 +381,9 @@ def numeric_membership(rep: GroupRep, points, tol=1e-8, restarts=200,
     points = tuple(points)
     rs = rep.rs
     for k, p in enumerate(points):
+        if len(p.coords) != rs.rank:
+            raise ValueError(f"point {k + 1} has {len(p.coords)} coordinates, "
+                             f"expected {rs.rank}")
         if not rs.in_alcove(p):
             raise ValueError(f"point {k + 1} is not in the fundamental alcove")
     exact = [phases_exact(rep, p) for p in points]

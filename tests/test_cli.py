@@ -387,6 +387,37 @@ def test_oracle_compare_json_schema(run, tmp_path):
     assert obj["group"] == "SU3" and obj["false_feasible"] == 0
 
 
+@pytest.mark.parametrize("label, group, point", [
+    ("A4", "SU5", ["1/8"] * 4), ("C3", "Sp6", ["1/8"] * 3)])
+def test_oracle_compare_models_a_and_c_past_rank_two(run, tmp_path, label,
+                                                     group, point):
+    path = points_file(tmp_path, [point] * 3)
+    code, out, _ = run("oracle-compare", "--type", label, "-n", "3",
+                       "--point", path, "--restarts", "40",
+                       "--format", "json")
+    assert code == 0
+    check(out, "oracle.schema.json")
+    obj = json.loads(out)
+    assert obj["group"] == group and obj["false_feasible"] == 0
+    assert obj["rows"][0]["exact"] == "inside" and obj["rows"][0]["feasible"]
+
+
+@pytest.mark.parametrize("group", ["SU2", "SU5", "SU12", "Sp4", "Sp6",
+                                   "Sp10", "Sp5", "SO5", "SU1", "Sp2",
+                                   "SU05", "Sp", "G2", "su3"])
+def test_oracle_schema_group_matches_the_oracle(group):
+    # the schema admits exactly the labels unitary_oracle.group_rep builds
+    obj = {"group": group, "n": 3, "total": 0, "concordant": 0,
+           "false_feasible": 0, "rows": []}
+    try:
+        unitary_oracle.group_rep(group)
+    except ValueError:
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(obj, schema("oracle.schema.json"))
+    else:
+        jsonschema.validate(obj, schema("oracle.schema.json"))
+
+
 def test_oracle_compare_input_errors(run, tmp_path):
     four = points_file(tmp_path, [["1/2"]] * 4, "four.json")
     code, _, err = run("oracle-compare", "--type", "A1", "-n", "3",
