@@ -7,20 +7,24 @@ w(mu) over the orbit of omega_1.  Seeded random restarts of gradient
 descent over the conjugating unitaries search for a witness, each step
 along the Cayley map (Wen and Yin, Math. Program. 142, 2013), which sends
 the projected gradient in u(N) or sp(2r) to a group element with one
-linear solve; each restart backtracks on its own.  On unitaries the
-gradient of |M_1 ... M_n - I|^2 in the k-th conjugating unitary is the
-skew-Hermitian part of R_k - R_{k+1}, with no prefix or suffix products:
+linear solve; each restart backtracks on its own.  The starts are the
+Cayley images of projected skew parts of Gaussian matrices, drawn from one
+stream seeded by `seed`, one block per restart, so restart k's start
+depends on (seed, k) alone.  On unitaries the gradient of
+|M_1 ... M_n - I|^2 in the k-th conjugating unitary is the skew-Hermitian
+part of R_k - R_{k+1}, with no prefix or suffix products:
 R_k = M_k ... M_n M_1 ... M_{k-1} are the cyclic rotations of the
 residual's product P = R_1 and R_{k+1} = M_k^dag R_k M_k.
 
 Candidates are polished by cyclically re-solving one factor at a time from
-the eigenvectors of what the other factors force it to be: the best
-restart at iterations 0, 1, 2, 4, 8, ..., stopping the search at the first
-checked witness far below tolerance, and otherwise the ten best at the
-end.  The descent ends after ITERS iterations, or sooner once the best
-value has stalled (fallen by at most STALL_RTOL of itself over
-STALL_WINDOW iterations); since that follows the best restart, the
-iteration it ends on depends on the whole batch.
+the eigenvectors of what the other factors force it to be, for Sp(2r) in
+a frame whose first r columns are made isotropic: the best restart at
+iterations 0, 1, 2, 4, 8, ..., stopping the search at the first checked
+witness far below tolerance, and otherwise the ten best at the end.  The
+descent ends after ITERS iterations, or sooner once the best value has
+stalled (fallen by at most STALL_RTOL of itself over STALL_WINDOW
+iterations); since that follows the best restart, the iteration it ends
+on depends on the whole batch.
 
 The search is one-sided: a witness below tolerance certifies feasibility,
 failure to find one proves nothing.  The SU(2) case also has an exact
@@ -98,14 +102,6 @@ def class_matrix(rep: GroupRep, pt):
 class OracleVerdict:
     feasible: bool
     residual: float
-
-
-def _expm_skew(s):
-    """exp of batched skew-Hermitian matrices via the Hermitian eigensolver."""
-    h = -1j * s
-    lam, v = np.linalg.eigh(h)
-    phase = np.exp(1j * lam)
-    return (v * phase[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
 def _cayley(a):
@@ -204,12 +200,12 @@ def _descent(rep, ds, restarts, seed, iters, stop_below, checkpoint):
     the other restarts in the batch; where the stall stop ends the descent
     does, since it follows the best restart."""
     n, bigN = ds.shape
-    shape = (n, bigN, bigN)
-    rngs = map(np.random.default_rng,
-               np.random.SeedSequence(seed).spawn(restarts))
-    h = np.stack([g.standard_normal(shape) + 1j * g.standard_normal(shape)
-                  for g in rngs])
-    us = _expm_skew(_project(rep, 0.5 * (h - _dagger(h))))
+    # restart-major: restart k's real and imaginary parts are the k-th block
+    # of one seeded stream, so they depend on (seed, k) alone
+    z = np.random.default_rng(seed).standard_normal(
+        (restarts, 2, n, bigN, bigN))
+    h = z[:, 0] + 1j * z[:, 1]
+    us = _cayley(_project(rep, 0.5 * (h - _dagger(h))))
 
     eta = np.full(restarts, 0.2)
     mats = _conjugate(us, ds)
@@ -278,15 +274,18 @@ def _rebuild_factor(rep, target, diag):
         return None
     v = vecs[:, perm]
     if rep.symplectic:
-        # symplectic frame: Gram-Schmidt on the first r columns, then -J conj
-        # of them; this keeps the form if the first r are isotropic, as for a
-        # symplectic target unless two first-r phases are both 0 or both 1/2
+        # symplectic frame: column k + r is -J conj of column k, and
+        # Gram-Schmidt takes each of the first r columns off both earlier
+        # halves, so they span an isotropic subspace even where two first-r
+        # phases are both 0 or both 1/2 and eig mixes their eigenspace
         r = rep.dim // 2
+        form = _form(rep.dim)
         for k in range(r):
             for j in range(k):
-                v[:, k] -= (np.conj(v[:, j]) @ v[:, k]) * v[:, j]
+                for f in (v[:, j], v[:, j + r]):
+                    v[:, k] -= (np.conj(f) @ v[:, k]) * f
             v[:, k] /= np.linalg.norm(v[:, k])
-        v[:, r:] = -_form(rep.dim) @ np.conj(v[:, :r])
+            v[:, k + r] = -form @ np.conj(v[:, k])
     else:
         v, _ = np.linalg.qr(v)
     return (v * diag[None, :]) @ np.conj(v.T)
@@ -364,7 +363,10 @@ def numeric_membership(rep: GroupRep, points, tol=1e-8, restarts=200,
                        seed=0) -> OracleVerdict:
     """Search for unitaries U_k with prod_k U_k Exp(2 pi i mu_k) U_k^-1 = I.
 
-    The descent steps along the Cayley map, which keeps every iterate in
+    The descent starts from the Cayley images of `restarts` random
+    elements of the Lie algebra, read restart by restart from one stream
+    seeded by `seed`, so a smaller `restarts` searches a prefix of the same
+    starts.  It steps along the Cayley map, which keeps every iterate in
     the group.  At iterations 0, 1, 2, 4, 8, ... the best restart is
     polished, and the search ends as soon as a polished candidate that
     passes the witness checks lies below tol * 1e-2.  The descent runs at

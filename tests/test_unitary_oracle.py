@@ -268,6 +268,12 @@ def test_cayley_step_stays_in_the_group(seed, label, step):
             assert np.linalg.norm(m.T @ j @ m - j) <= 1e-12
 
 
+def _expm_skew(s):
+    # exp of skew-Hermitian matrices through the Hermitian eigensolver
+    lam, v = np.linalg.eigh(-1j * s)
+    return (v * np.exp(1j * lam)[..., None, :]) @ uo._dagger(v)
+
+
 def _random_group_batch(label, shape, seed):
     # group elements exp(s) for random s in the Lie algebra
     rep = uo.group_rep(label)
@@ -276,7 +282,7 @@ def _random_group_batch(label, shape, seed):
     z = (rng.standard_normal(shape + (big, big))
          + 1j * rng.standard_normal(shape + (big, big)))
     s = uo._project(rep, 0.5 * (z - np.conj(np.swapaxes(z, -1, -2))))
-    return uo._expm_skew(s)
+    return _expm_skew(s)
 
 
 def _class_target(label, coords, seed):
@@ -288,15 +294,18 @@ def _class_target(label, coords, seed):
 
 
 def _sp4_frame_rebuild(target, diag):
-    # the Sp(4) frame before it was written for every rank
+    # the isotropic Sp(4) frame written out: v2 is taken off v1 and off
+    # w1 = -J conj(v1), then w2 = -J conj(v2)
     vals, vecs = np.linalg.eig(target)
     perm, _ = uo._match_eigs(vals, diag)
     v = vecs[:, perm]
     j = _form(2)
     v1 = v[:, 0] / np.linalg.norm(v[:, 0])
+    w1 = -j @ np.conj(v1)
     v2 = v[:, 1] - (np.conj(v1) @ v[:, 1]) * v1
+    v2 = v2 - (np.conj(w1) @ v2) * w1
     v2 = v2 / np.linalg.norm(v2)
-    u = np.stack([v1, v2, -j @ np.conj(v1), -j @ np.conj(v2)], axis=1)
+    u = np.stack([v1, v2, w1, -j @ np.conj(v2)], axis=1)
     return (u * diag[None, :]) @ np.conj(u.T)
 
 
@@ -309,7 +318,7 @@ def test_rebuild_factor_keeps_the_symplectic_form(seed):
     assert np.linalg.norm(m.T @ j @ m - j) <= 1e-12
     assert np.abs(m - target).max() <= 1e-12
     assert uo._valid_witness(rep, [m], None)
-    # at rank 2 the frame takes exactly the steps it took before
+    # at rank 2 the frame takes exactly the steps written out above
     rep, target, diag = _class_target("Sp4", ("1/7", "1/5"), seed)
     got = uo._rebuild_factor(rep, target, diag)
     want = _sp4_frame_rebuild(target, diag)
@@ -452,8 +461,9 @@ def _outside_su3():
 
 
 def test_descent_restarts_do_not_interact(monkeypatch):
-    # SeedSequence.spawn gives restarts=3 the first three starts of
-    # restarts=8; each must then follow the same path in either batch.
+    # one seeded stream, read restart-major, gives restarts=3 the first
+    # three starts of restarts=8; each must then follow the same path in
+    # either batch.
     # The stall stop follows the best restart, so it could end the two
     # batches at different iterations; it is switched off, and both run
     # all 40.  The values meet at one minimum within 40 iterations, so
@@ -472,6 +482,50 @@ def test_descent_restarts_do_not_interact(monkeypatch):
         j = np.argmin(np.abs(us8 - u).reshape(len(us8), -1).max(axis=1))
         assert abs(vals8[j] - v) <= 1e-12 * v
         assert np.abs(us8[j] - u).max() <= 1e-12
+
+
+def _starts(label, restarts, seed):
+    # with no iterations the descent returns its starts, sorted by value
+    rep = uo.group_rep(label)
+    pts = [cp(*["1/8"] * rep.rs.rank), cp(*["1/5"] * rep.rs.rank),
+           cp(*["1/7"] * rep.rs.rank)]
+    ds = np.array([[np.exp(2j * np.pi * float(e))
+                    for e in uo.phases_exact(rep, p)] for p in pts])
+    return rep, uo._descent(rep, ds, restarts, seed, 0, stop_below=0,
+                            checkpoint=lambda mats: False)
+
+
+@pytest.mark.parametrize("label", ["SU3", "Sp4"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_fewer_restarts_take_a_prefix_of_the_starts(label, seed):
+    # restarts=3 draws the first three blocks of the stream restarts=8
+    # reads, so its starts and values are three of restarts=8's, bit for bit
+    _, (vals3, us3) = _starts(label, 3, seed)
+    _, (vals8, us8) = _starts(label, 8, seed)
+    assert us3.shape == (3, 3) + us8.shape[2:]
+    matched = set()
+    for v, u in zip(vals3, us3):
+        j = int(np.argmin(np.abs(us8 - u).reshape(len(us8), -1).max(axis=1)))
+        assert np.array_equal(us8[j].view(np.uint64), u.view(np.uint64))
+        assert vals8[j] == v
+        matched.add(j)
+    assert len(matched) == 3
+    # and a different seed draws different starts
+    _, (_, other) = _starts(label, 3, seed + 1)
+    assert np.abs(other - us3).max() > 0.1
+
+
+@pytest.mark.parametrize("label", ["SU5", "Sp6"])
+def test_starts_lie_in_the_group(label):
+    rep, (vals, us) = _starts(label, 20, 3)
+    assert us.shape == (20, 3, rep.dim, rep.dim)
+    assert np.all(np.diff(vals) >= 0)
+    eye = np.eye(rep.dim)
+    j = _form(rep.dim // 2)
+    for u in us.reshape(-1, rep.dim, rep.dim):
+        assert np.linalg.norm(np.conj(u.T) @ u - eye) <= 1e-12
+        if rep.symplectic:
+            assert np.linalg.norm(u.T @ j @ u - j) <= 1e-12
 
 
 def _count_steps(monkeypatch):
@@ -550,10 +604,7 @@ def test_inside_search_ends_at_a_checkpoint(monkeypatch, label, coords):
 # The first three inside tuples and the first outside one that a seeded
 # draw (random.Random(2026 + rank), three points of the alcove grid with
 # denominator 12) gave at least 1/20 away from every inequality, with the
-# verdict each search reaches.  The first point of the first C3 tuple has
-# phases 1/2, 1/2, 1/6, so the first two columns of its symplectic frame
-# come from one eigenspace of -1 and need not be isotropic; the polish does
-# not close there, and the search stalls near residual 1e-4.
+# verdict each search reaches.
 _CONCORDANCE = {
     ("A", 4): [
         ("inside", True, [("1/12", "1/6", "1/6", "1/6"),
@@ -570,8 +621,8 @@ _CONCORDANCE = {
                             ("1/4", "1/6", "0", "1/2")]),
     ],
     ("C", 3): [
-        ("inside", False, [("0", "1/3", "1/3"), ("1/6", "1/6", "1/4"),
-                           ("1/3", "1/12", "1/6")]),
+        ("inside", True, [("0", "1/3", "1/3"), ("1/6", "1/6", "1/4"),
+                          ("1/3", "1/12", "1/6")]),
         ("inside", True, [("1/4", "1/12", "1/6"), ("1/6", "1/6", "0"),
                           ("1/3", "0", "1/12")]),
         ("inside", True, [("0", "1/6", "1/6"), ("1/6", "1/12", "1/2"),
