@@ -9,7 +9,10 @@ is always a subset of it.
 
 Everything here is exact.  The simplex solver used for the irredundancy
 certificates pivots the compiled integer rows in place, as a fraction-free
-tableau whose pivots are those of a rational one.
+tableau whose pivots are those of a rational one.  Each certificate's LP is
+solved by row generation from the alcove rows, and every separating point
+is re-checked in integers against every row, through the rows' factor-block
+ids.
 """
 
 import itertools
@@ -20,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 
 from .root_system import RootSystem, Weight, CartanPoint
 from .weyl import minimal_reps, render_word
@@ -419,7 +422,9 @@ def check_certificate(rs: RootSystem, n, rows, j, witness):
     """Exact check, without the simplex, that witness (the flat n*rank
     coordinates of an n-tuple) separates row j from the others: it lies in
     the closed alcove^n, violates row j strictly and satisfies every other
-    row.  rows holds (coeffs, rhs) pairs meaning coeffs . x <= rhs."""
+    row.  rows holds (coeffs, rhs) pairs meaning coeffs . x <= rhs.
+    irredundancy_check reaches the same verdicts through block ids
+    (_separated); this plain form is their reference."""
     rank = rs.rank
     if len(witness) != n * rank:
         return False
@@ -486,53 +491,181 @@ def _orbits(system):
     return out
 
 
-def _certify_row(system, j):
+@dataclass(frozen=True)
+class _BlockIndex:
+    """The rows of a compiled system through their factor blocks.  Each row
+    is n blocks of rank coefficients, and a generated system has few
+    distinct blocks (48 at D4 n=4, for 8320 rows) and few distinct halves:
+    a left half is the right side and the blocks of the first n // 2
+    factors, a right half the blocks of the others (1200 and 518 at D4
+    n=4).  A half's value at a point sums lookups into the blocks' dot
+    products with the point's blocks, and a row's excess is the sum of its
+    two halves' values, all taken once per point.  weights[i] is the lcm of
+    the rows' nonzero squared norms over row i's, so excess**2 * weights[i]
+    orders rows as excess**2 / norm does."""
+    n: int
+    rank: int
+    theta: tuple
+    blocks: tuple      # every distinct block, over all factors
+    left: tuple        # (rhs, ids at factor 0, ...) over the left halves
+    right: tuple       # (ids at factor n // 2, ...) over the right halves
+    rows: tuple        # rows[i]: (left half, right half) of row i
+    weights: tuple
+
+
+def _block_index(system):
+    n, rank = system.n, system.rank
+    blocks, left, right, rows = {}, {}, {}, []
+    for coeffs, rhs in system.rows:
+        ids = tuple(blocks.setdefault(coeffs[t * rank:(t + 1) * rank],
+                                      len(blocks)) for t in range(n))
+        rows.append((left.setdefault((rhs,) + ids[:n // 2], len(left)),
+                     right.setdefault(ids[n // 2:], len(right))))
+    norms = [sum(c * c for c in coeffs) for coeffs, _ in system.rows]
+    common = lcm(*filter(None, norms))
+    return _BlockIndex(
+        n, rank, system.theta, tuple(blocks), tuple(zip(*left)),
+        tuple(zip(*right)), tuple(rows),
+        tuple(common // v if v else 0 for v in norms))
+
+
+def _block_dots(index, x):
+    """dots[k][b]: block b times block k of the integer point x."""
+    rank = index.rank
+    return [[sum(map(mul, b, x[k * rank:(k + 1) * rank]))
+             for b in index.blocks] for k in range(index.n)]
+
+
+def _halves(index, dots, den, perm):
+    """The values of the left halves, less rhs * den, and of the right
+    halves at y, where block t of the point y is block perm[t] of the point
+    whose _block_dots are dots; a row's two values sum to coeffs . y -
+    rhs * den, which has the sign of its excess at y / den."""
+    rhs, *cols = index.left
+    left = _lookups(map(mul, rhs, itertools.repeat(-den)), cols, dots, perm)
+    right = _lookups(itertools.repeat(0), index.right, dots, perm[len(cols):])
+    return left, right
+
+
+def _lookups(total, cols, dots, factors):
+    """total plus what each column of block ids looks up in the dots of its
+    factor."""
+    for col, k in zip(cols, factors):
+        total = map(add, total, map(dots[k].__getitem__, col))
+    return list(total)
+
+
+def _violated(index, left, right):
+    """The rows whose halves' values sum to a positive excess."""
+    return [i for i, (p, q) in enumerate(index.rows)
+            if left[p] + right[q] > 0]
+
+
+def _separated(index, witness, members):
+    """check_certificate's verdict through the block ids, for each (k, perm)
+    of members: whether the witness with its blocks permuted by perm
+    separates row k.  The alcove test does not see the order of the blocks,
+    so it is made once."""
+    n, rank = index.n, index.rank
+    if len(witness) != n * rank:
+        return [False] * len(members)
+    x, den = _integral(witness)
+    if any(v < 0 for v in x) or any(
+            sum(map(mul, index.theta, x[k * rank:(k + 1) * rank])) > den
+            for k in range(n)):
+        return [False] * len(members)
+    dots = _block_dots(index, x)
+    return [_violated(index, *_halves(index, dots, den, perm)) == [k]
+            for k, perm in members]
+
+
+# rows added to the relaxation per round of row generation
+_ADD = 8
+
+
+def _most_violated(index, violated, left, right):
+    """The _ADD rows of violated with the largest excess**2 / norm, ties to
+    the lower index, from the values of the halves."""
+    def key(i):
+        p, q = index.rows[i]
+        return -(left[p] + right[q]) ** 2 * index.weights[i], i
+    return sorted(violated, key=key)[:_ADD]
+
+
+def _certify_row(system, j, index=None):
     """Certify row j: maximize its left side subject to every other row
     plus the alcove constraints.  An optimum beyond the right side is
     attained at a vertex violating only row j; one that reaches no further
     than the right side shows the others imply it.  The optimum comes back
-    in the inequality's own units."""
+    in the inequality's own units.
+
+    The LP is solved by row generation (Kelley's cutting planes).  The
+    first relaxation holds the n alcove rows alone; after each, every other
+    row is evaluated at its maximizer in integers, through index (a
+    _BlockIndex of system, built when not given), and the _ADD most
+    violated rows join the relaxation.  Each relaxation's optimum bounds
+    the full one from above, and the first maximizer that satisfies every
+    row attains it; that maximizer is the witness."""
+    if index is None:
+        index = _block_index(system)
     n, rank = system.n, system.rank
-    rows = [[0] * (k * rank) + list(system.theta) + [0] * ((n - 1 - k) * rank)
-            + [1] for k in range(n)]
-    rows += [[*coeffs, rhs] for i, (coeffs, rhs) in enumerate(system.rows)
-             if i != j]
+    identity = tuple(range(n))
     coeffs, rhs = system.rows[j]
-    lp = _Simplex(rows)
-    opt = lp.maximize(coeffs)
+    active = []
+    while True:
+        rows = [[0] * (k * rank) + list(system.theta)
+                + [0] * ((n - 1 - k) * rank) + [1] for k in range(n)]
+        rows += [[*system.rows[i][0], system.rows[i][1]] for i in active]
+        lp = _Simplex(rows)
+        opt = lp.maximize(coeffs)
+        point = lp.solution()
+        x, den = _integral(point)
+        halves = _halves(index, _block_dots(index, x), den, identity)
+        violated = [i for i in _violated(index, *halves) if i != j]
+        if not violated:
+            break
+        added = _most_violated(index, violated, *halves)
+        # the relaxation's maximizer satisfies every row it holds
+        assert not set(added) & set(active), "a relaxation row is violated"
+        active = sorted(active + added)
     if opt > rhs:
-        return True, "separating-point", opt / system.scales[j], lp.solution()
+        return True, "separating-point", opt / system.scales[j], point
     return False, "dominated", opt / system.scales[j], ()
 
 
 _WORKER_SYSTEM = None
+_WORKER_INDEX = None
 
 
-def _init_worker(system):
-    global _WORKER_SYSTEM
-    _WORKER_SYSTEM = system
+def _init_worker(system, index):
+    global _WORKER_SYSTEM, _WORKER_INDEX
+    _WORKER_SYSTEM, _WORKER_INDEX = system, index
 
 
 def _certify_in_worker(j):
-    return _certify_row(_WORKER_SYSTEM, j)
+    return _certify_row(_WORKER_SYSTEM, j, _WORKER_INDEX)
 
 
 def irredundancy_check(rs: RootSystem, n, inequalities, workers=None) -> IrredundancyReport:
     """One exact LP per orbit of the factor-block symmetries: maximize the
     representative's left side subject to all the other inequalities plus
-    the alcove constraints.  An optimum beyond the right side yields a point
-    violating only that inequality; any other optimum shows the others
-    imply it, and it is reported dominated.  The other members of the orbit
-    take over the optimum and method, and the witness with its blocks
-    permuted.  Every separating point is re-checked by check_certificate;
-    one that fails the check is reported uncertified.  workers > 1 spreads
-    the orbits over at most os.cpu_count() spawned processes."""
+    the alcove constraints, by row generation (_certify_row).  An optimum
+    beyond the right side yields a point violating only that inequality;
+    any other optimum shows the others imply it, and it is reported
+    dominated.  The other members of the orbit take over the optimum and
+    method, and the witness with its blocks permuted.  Every member's
+    separating point is re-checked in integers against every row, with
+    check_certificate's verdict, through one block index of the system
+    (_separated); one that fails the check is reported uncertified.
+    workers > 1 spreads the orbits over at most os.cpu_count() spawned
+    processes."""
     if n < 3:
         warnings.warn("with fewer than three factors the region can have "
                       "empty interior; irredundancy certificates are then "
                       "meaningless", stacklevel=2)
     system = compile_system(rs, n, inequalities)
     inequalities = system.inequalities
+    index = _block_index(system)
     orbits = _orbits(system)
     reps = [rep for rep, _ in orbits]
     # the pool starts a process per pending orbit up to max_workers, so
@@ -546,20 +679,23 @@ def irredundancy_check(rs: RootSystem, n, inequalities, workers=None) -> Irredun
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=get_context("spawn"),
                                  initializer=_init_worker,
-                                 initargs=(system,)) as pool:
+                                 initargs=(system, index)) as pool:
             results = list(pool.map(_certify_in_worker, reps))
     else:
-        results = [_certify_row(system, j) for j in reps]
+        results = [_certify_row(system, j, index) for j in reps]
 
     certs = [None] * len(inequalities)
     for (_, members), (ok, method, opt, witness) in zip(orbits, results):
-        for k, perm in members:
-            point = _permute(witness, perm, rs.rank)
-            if ok and not check_certificate(rs, n, system.rows, k, point):
+        # a dominated row has no witness to check
+        checks = (_separated(index, witness, members) if ok
+                  else itertools.repeat(True))
+        for (k, perm), checked in zip(members, checks):
+            if checked:
+                certs[k] = Certificate(inequalities[k], ok, method, opt,
+                                       _permute(witness, perm, rs.rank))
+            else:
                 certs[k] = Certificate(inequalities[k], False, "uncertified",
                                        opt, ())
-            else:
-                certs[k] = Certificate(inequalities[k], ok, method, opt, point)
     return IrredundancyReport(tuple(certs))
 
 

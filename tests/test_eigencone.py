@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -473,6 +474,150 @@ def test_certify_row_bound_only_reached_is_dominated(n, theta):
     system = ec.CompiledSystem(n, len(theta), theta, (((1, 0), 1),), (1,),
                                (None,))
     assert ec._certify_row(system, 0) == (False, "dominated", 1, ())
+
+
+def _full_tableau_certify_row(system, j):
+    """_certify_row as it ran before row generation, kept as the reference:
+    one LP over the n alcove rows and every other row of the system."""
+    n, rank = system.n, system.rank
+    rows = [[0] * (k * rank) + list(system.theta) + [0] * ((n - 1 - k) * rank)
+            + [1] for k in range(n)]
+    rows += [[*coeffs, rhs] for i, (coeffs, rhs) in enumerate(system.rows)
+             if i != j]
+    coeffs, rhs = system.rows[j]
+    lp = ec._Simplex(rows)
+    opt = lp.maximize(coeffs)
+    if opt > rhs:
+        return True, "separating-point", opt / system.scales[j], lp.solution()
+    return False, "dominated", opt / system.scales[j], ()
+
+
+def _hand_built_lists(a1_n3):
+    dup = list(a1_n3) + [a1_n3[0]]
+    not_invariant = [q for q in a1_n3 if _signs(q) != (1, -1, -1)]
+    slack = list(a1_n3) + [dataclasses.replace(a1_n3[-1], rhs=2)]
+    return [ec.compile_system(A1, 3, qs)
+            for qs in (dup, not_invariant, slack)] + [
+        # the square and the triangle of the dominated test above
+        ec.CompiledSystem(2, 1, (1,), (((1, 0), 1),), (1,), (None,)),
+        ec.CompiledSystem(1, 2, (1, 1), (((1, 0), 1),), (1,), (None,))]
+
+
+@pytest.mark.parametrize("t, r, n", [
+    ("B", 2, 3), ("G", 2, 3), ("A", 2, 4), ("A", 3, 3), ("B", 3, 3),
+    ("C", 3, 3)])
+def test_row_generation_matches_the_full_tableau(t, r, n):
+    rs = build_root_system(t, r)
+    system = ec.compile_system(rs, n, ec.generate_inequalities(rs, n))
+    index = ec._block_index(system)
+    for j, _ in ec._orbits(system):
+        got = ec._certify_row(system, j, index)
+        assert got[:3] == _full_tableau_certify_row(system, j)[:3]
+        # the final relaxation's maximizer separates row j from every row
+        assert ec.check_certificate(rs, n, system.rows, j, got[3])
+
+
+def test_row_generation_matches_the_full_tableau_on_hand_built_lists(a1_n3):
+    for system in _hand_built_lists(a1_n3):
+        for j in range(len(system.rows)):
+            assert ec._certify_row(system, j)[:3] == \
+                _full_tableau_certify_row(system, j)[:3]
+
+
+def test_no_lp_gets_the_full_system(monkeypatch):
+    # a guard against the full tableau coming back: row generation starts
+    # from the alcove rows and adds only violated rows
+    B3 = build_root_system("B", 3)
+    qs = ec.generate_inequalities(B3, 3)
+    sizes = []
+
+    class Recording(ec._Simplex):
+        def __init__(self, rows):
+            sizes.append(len(rows))
+            super().__init__(rows)
+    monkeypatch.setattr(ec, "_Simplex", Recording)
+    assert ec.irredundancy_check(B3, 3, qs).all_certified
+    # the n alcove rows and every row but the one maximized
+    full = 3 + len(qs) - 1
+    assert sizes and max(sizes) < full
+    assert min(sizes) == 3
+
+
+@pytest.mark.parametrize("t, r", [("B", 3), ("D", 4)])
+def test_rows_join_by_violation_over_norm(t, r):
+    # at every vertex of the alcove^3 (x / 60, each block 0 or a vertex
+    # e_m / theta_m), the rows added are those of largest excess**2 /
+    # |a|**2 as Fractions, ties to the lower index
+    rs = build_root_system(t, r)
+    system = ec.compile_system(rs, 3, ec.generate_inequalities(rs, 3))
+    index = ec._block_index(system)
+    vertices = [[0] * r] + [[60 // rs.highest_root[m] * (i == m)
+                             for i in range(r)] for m in range(r)]
+    ranked = 0
+    for blocks in itertools.product(vertices, repeat=3):
+        x = [v for block in blocks for v in block]
+        left, right = ec._halves(index, ec._block_dots(index, x), 60,
+                                 (0, 1, 2))
+        violated = ec._violated(index, left, right)
+        excess = [sum(map(mul, coeffs, x)) - rhs * 60
+                  for coeffs, rhs in system.rows]
+        assert violated == [i for i, e in enumerate(excess) if e > 0]
+        expected = sorted(violated, key=lambda i: (-Fraction(
+            excess[i] ** 2, sum(c * c for c in system.rows[i][0])), i))
+        assert ec._most_violated(index, violated, left, right) == \
+            expected[:ec._ADD]
+        ranked += len(violated) > ec._ADD
+    assert ranked
+
+
+def _members_and_strangers(system, members):
+    """The members of an orbit, and each one's perm paired with the next
+    row's index, which its witness does not separate."""
+    return members + [((k + 1) % len(system.rows), perm)
+                      for k, perm in members]
+
+
+@pytest.mark.parametrize("t, r", [("B", 3), ("C", 3), ("D", 4)])
+def test_block_id_check_matches_check_certificate(t, r):
+    rs = build_root_system(t, r)
+    qs = ec.generate_inequalities(rs, 3)
+    report = ec.irredundancy_check(rs, 3, qs)
+    system = ec.compile_system(rs, 3, qs)
+    index = ec._block_index(system)
+    for rep, members in ec._orbits(system):
+        witness = report.certificates[rep].witness
+        pairs = _members_and_strangers(system, members)
+        expected = [ec.check_certificate(
+            rs, 3, system.rows, k, ec._permute(witness, perm, rs.rank))
+            for k, perm in pairs]
+        assert ec._separated(index, witness, pairs) == expected
+        assert expected == [True] * len(members) + [False] * len(members)
+
+
+def test_block_id_check_rejects_tampered_witnesses():
+    # the rows and witnesses of test_check_certificate_rejects_tampered_
+    # witnesses, through the block ids
+    F = Fraction
+    rows = (((2, 0), 1), ((0, 2), 1), ((1, 1), 1))
+    system = ec.CompiledSystem(2, 1, (1,), rows, (1, 1, 1), (None,) * 3)
+    index = ec._block_index(system)
+    # ("3/4", "-1/4") leaves the alcove by its sign alone
+    for w in [("3/4", 0), ("5/4", "-1/2"), ("3/4", "-1/4"), ("3/4", "1/2"),
+              ("1/2", 0), ("3/4",), (0, "3/4")]:
+        w = tuple(F(v) for v in w)
+        for perm in [(0, 1), (1, 0)]:
+            assert ec._separated(index, w, [(0, perm)]) == [
+                ec.check_certificate(A1, 2, rows, 0,
+                                     ec._permute(w, perm, 1))]
+    assert ec._separated(index, (F(3, 4), 0), [(0, (0, 1)), (0, (1, 0))]) \
+        == [True, False]
+    assert ec._separated(index, (F(3, 4), F(-1, 4)), [(0, (0, 1))]) == [False]
+    a2 = build_root_system("A", 2)
+    system = ec.CompiledSystem(1, 2, (1, 1), (((2, 0), 1),), (1,), (None,))
+    index = ec._block_index(system)
+    assert ec._separated(index, (F(3, 4), F(1, 2)), [(0, (0,))]) == [False]
+    assert ec._separated(index, (F(3, 4), F(1, 4)), [(0, (0,))]) == [True]
+    assert ec.check_certificate(a2, 1, system.rows, 0, (F(3, 4), F(1, 4)))
 
 
 class _FractionSimplex:

@@ -100,6 +100,13 @@ DIGESTS = {
         "757e8a4e47959ee9cdfd3a0dad7105365fa501ecc7526b4cf238c900b10285be",
     "verify --type B3 -n 3":
         "db50cfe832fa8310721e0bcd387617783bec0d3817425c143fd7add0aa17a1ba",
+    "verify --type B3 -n 3 --format json":
+        "cec6c0aa9a412bd500aa01b8e0d2bfdea41536eee4d5ec28c6dfda34d0315b89",
+    "verify --type C3 -n 3 --format json":
+        "ad289fae2b2968cef858fcd49443d44c417df69919e097c168e91ecd5c838a93",
+    # rank 4: 756 inequalities, 151 orbits
+    "verify --type D4 -n 3 --format json":
+        "8ef6e2f440e44394b45b77817305af74d58f41e370718c9e5a355a597f2ff946",
 }
 
 
