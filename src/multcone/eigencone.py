@@ -7,12 +7,11 @@ n-point coefficient equals 1.  The undeformed enumeration (plain n-point
 invariant equal to 1) is kept alongside as the baseline; the deformed list
 is always a subset of it.
 
-Everything here is exact.  The simplex solver used for the irredundancy
-certificates pivots the compiled integer rows in place, as a fraction-free
-tableau whose pivots are those of a rational one.  Each certificate's LP is
-solved by row generation from the alcove rows, and every separating point
-is re-checked in integers against every row, through the rows' factor-block
-ids.
+Everything here is exact.  An inequality list is compiled once, to integer
+rows held as ids of their factor blocks, and every row is evaluated through
+those ids: in membership, in row generation and in the re-check of every
+separating point.  The certificates' simplex pivots the rows in place, as a
+fraction-free tableau whose pivots are those of a rational one.
 """
 
 import itertools
@@ -21,6 +20,7 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, itemgetter, mul
@@ -160,22 +160,44 @@ def baseline_inequalities(rs: RootSystem, n):
 @dataclass(frozen=True)
 class CompiledSystem:
     """An inequality list compiled to integer rows over the n*rank alcove
-    coordinates of an n-tuple: rows[i] = (coeffs, rhs) reads coeffs . x <=
+    coordinates of an n-tuple.  row(i) = (coeffs, rhs) reads coeffs . x <=
     rhs and is inequalities[i] in simple-root coordinates times scales[i],
-    the least positive integer that makes every coefficient integral.
-    The simple-root coordinates come from the inverse Cartan matrix taken
-    as integer rows over one common denominator.  membership takes one in
-    place of the list, so a caller checking many tuples against one list
-    compiles it once."""
+    the least positive integer that makes every coefficient integral.  It
+    is n blocks, one per factor, and keys[i] = (rhs, id_0, ..., id_{n-1})
+    its right side and block ids (48 distinct blocks at D4 n=4, for 8320
+    rows).  A left half is a key's first n // 2 + 1 entries, a right half
+    the others; left and right hold the distinct halves as columns (1200
+    and 518 at D4 n=4), halves the columns of each row's two half numbers.
+    membership takes one in place of the list, so a caller checking many
+    tuples against one list compiles it once."""
     n: int
     rank: int
     theta: tuple
-    rows: tuple
+    blocks: tuple
+    keys: tuple
+    left: tuple
+    right: tuple
+    halves: tuple
     scales: tuple
     inequalities: tuple
 
     def __len__(self):
         return len(self.inequalities)
+
+    @cached_property
+    def weights(self):
+        """weights[i] is the lcm of the rows' nonzero squared norms over row
+        i's, so excess**2 * weights[i] orders rows as excess**2 / norm
+        does.  Taken on first use: only row generation ranks rows."""
+        squares = [sum(c * c for c in block) for block in self.blocks]
+        norms = [sum(map(squares.__getitem__, key[1:])) for key in self.keys]
+        common = lcm(*{v for v in norms if v})
+        return tuple(common // v if v else 0 for v in norms)
+
+    def row(self, i):
+        """Row i as the flat (coeffs, rhs) it stands for."""
+        rhs, *ids = self.keys[i]
+        return tuple(c for b in ids for c in self.blocks[b]), rhs
 
 
 def compile_system(rs: RootSystem, n, inequalities) -> CompiledSystem:
@@ -184,56 +206,68 @@ def compile_system(rs: RootSystem, n, inequalities) -> CompiledSystem:
     The inverse Cartan matrix is cleared once per call to integer rows over
     one common denominator.  Each distinct weight goes through it once, to
     its simple-root coordinates as integers over one denominator in lowest
-    terms, and its block is kept at every row scale it meets; a row is then
-    one lookup per factor, one lcm and a concatenation of blocks.  Raises
+    terms, and it keeps the id of its block at every row scale it meets; a
+    row is then one lookup per factor, one lcm and its halves.  Raises
     ValueError for an inequality without n factors or a weight without
     rank coordinates."""
     inequalities = tuple(inequalities)
     rank = rs.rank
     flat, inv_den = _integral([c for row in rs.inverse_cartan for c in row])
     inverse = [flat[i * rank:(i + 1) * rank] for i in range(rank)]
-    # fundamental coordinates -> (den, {scale: block}), the block at scale
-    # s being the weight's simple-root coordinates times s
-    blocks = {}
-    rows, scales = [], []
+    # block -> id; fundamental coordinates -> (den, simple-root coordinates
+    # times den, {scale: id of those coordinates times scale})
+    ids, by_weight = {}, {}
+    keys, scales = [], []
+    left, right, halves = {}, {}, []
     for k, q in enumerate(inequalities):
         if len(q.lhs_weights) != n:
             raise ValueError(f"inequality {k + 1} has {len(q.lhs_weights)} "
                              f"factors, expected n={n}")
         entries = []
         for wgt in q.lhs_weights:
-            entry = blocks.get(wgt.coords)
+            entry = by_weight.get(wgt.coords)
             if entry is None:
                 if len(wgt.coords) != rank:
                     raise ValueError(
                         f"inequality {k + 1} has a weight with "
                         f"{len(wgt.coords)} coordinates, expected {rank}")
-                entry = blocks[wgt.coords] = _root_block(
-                    wgt.coords, inverse, inv_den)
+                entry = by_weight[wgt.coords] = (
+                    *_root_block(wgt.coords, inverse, inv_den), {})
             entries.append(entry)
-        scale = lcm(*[den for den, _ in entries])
-        row = ()
-        for den, by_scale in entries:
-            block = by_scale.get(scale)
-            if block is None:
-                block = by_scale[scale] = tuple(
-                    c * (scale // den) for c in by_scale[den])
-            row += block
-        rows.append((row, q.rhs * scale))
+        scale = lcm(*[den for den, _, _ in entries])
+        key = [q.rhs * scale]
+        for den, block, by_scale in entries:
+            b = by_scale.get(scale)
+            if b is None:
+                b = by_scale[scale] = ids.setdefault(
+                    tuple(c * (scale // den) for c in block), len(ids))
+            key.append(b)
+        key = tuple(key)
+        keys.append(key)
         scales.append(scale)
-    return CompiledSystem(n, rank, tuple(rs.highest_root), tuple(rows),
-                          tuple(scales), inequalities)
+        halves.append((left.setdefault(key[:n // 2 + 1], len(left)),
+                       right.setdefault(key[n // 2 + 1:], len(right))))
+    return CompiledSystem(
+        n, rank, tuple(rs.highest_root), tuple(ids), tuple(keys),
+        _columns(left, n // 2 + 1), _columns(right, n - n // 2),
+        _columns(halves, 2), tuple(scales), inequalities)
+
+
+def _columns(tuples, width):
+    """The width columns of a sequence of width-tuples."""
+    return tuple(zip(*tuples)) or ((),) * width
+
 
 
 def _root_block(coords, inverse, inv_den):
-    """(den, {den: ints}) with ints / den the simple-root coordinates of the
+    """(den, ints) with ints / den the simple-root coordinates of the
     weight with fundamental coordinates coords, in lowest terms, through
     the integer inverse Cartan rows inverse / inv_den."""
     ints, den = _integral(coords)
     nums = [sum(map(mul, row, ints)) for row in inverse]
     den *= inv_den
     g = gcd(den, *nums)
-    return den // g, {den // g: tuple(v // g for v in nums)}
+    return den // g, tuple(v // g for v in nums)
 
 
 def _integral(values):
@@ -272,16 +306,13 @@ def membership(rs: RootSystem, n, points, inequalities) -> MembershipVerdict:
     else:
         system = compile_system(rs, n, inequalities)
     x, den = _integral([m for p in points for m in p.coords])
-    violated, tight = [], []
-    for q, (coeffs, rhs) in zip(system.inequalities, system.rows):
-        # the slack times scale * den, so it keeps the slack's sign
-        s = rhs * den - sum(map(mul, coeffs, x))
-        if s < 0:
-            violated.append(q)
-        elif s == 0:
-            tight.append(q)
+    left, right = _halves(system, _block_dots(system, x), den, range(n))
+    # each row's excess times scale * den, which keeps the excess's sign
+    excess = [left[p] + right[q] for p, q in zip(*system.halves)]
+    violated = tuple(q for q, e in zip(system.inequalities, excess) if e > 0)
+    tight = tuple(q for q, e in zip(system.inequalities, excess) if e == 0)
     status = "outside" if violated else ("boundary" if tight else "inside")
-    return MembershipVerdict(status, tuple(violated), tuple(tight))
+    return MembershipVerdict(status, violated, tight)
 
 
 # --- exact simplex ----------------------------------------------------------
@@ -424,7 +455,8 @@ def check_certificate(rs: RootSystem, n, rows, j, witness):
     the closed alcove^n, violates row j strictly and satisfies every other
     row.  rows holds (coeffs, rhs) pairs meaning coeffs . x <= rhs.
     irredundancy_check reaches the same verdicts through block ids
-    (_separated); this plain form is their reference."""
+    (_separated); this plain form, fed the rows of CompiledSystem.row, is
+    their reference."""
     rank = rs.rank
     if len(witness) != n * rank:
         return False
@@ -443,16 +475,20 @@ def _permute(flat, perm, rank):
     return tuple(v for k in perm for v in flat[k * rank:(k + 1) * rank])
 
 
+def _permute_key(key, perm):
+    """The key of the row whose block t is block perm[t] of key's row."""
+    return (key[0], *(key[1 + k] for k in perm))
+
+
 def _block_symmetries(system):
     """Generators of the group of factor-block permutations that map the
     row multiset onto itself: the two generators of S_n when both qualify,
     as they do for every generated system, else every qualifying one."""
-    n, rank = system.n, system.rank
-    count = Counter(system.rows)
+    n = system.n
+    count = Counter(system.keys)
 
     def keeps(perm):
-        return count == Counter((_permute(coeffs, perm, rank), rhs)
-                                for coeffs, rhs in system.rows)
+        return count == Counter(_permute_key(key, perm) for key in system.keys)
 
     swap = (1, 0) + tuple(range(2, n))
     cycle = tuple(range(1, n)) + (0,)
@@ -462,88 +498,51 @@ def _block_symmetries(system):
 
 
 def _orbits(system):
-    """The rows' orbits under the block symmetries, as (representative,
-    [(member, perm), ...]) with row member equal to the representative's
-    row permuted by perm; the representative is the orbit's lowest index,
-    and equal rows share an orbit."""
+    """The rows' orbits under the block symmetries, as [(member, perm),
+    ...] with row member equal to the representative's row permuted by
+    perm; the representative, first, is the orbit's lowest index, and equal
+    rows share an orbit."""
     gens = _block_symmetries(system)
-    by_row = {}
-    for i, row in enumerate(system.rows):
-        by_row.setdefault(row, []).append(i)
+    by_key = {}
+    for i, key in enumerate(system.keys):
+        by_key.setdefault(key, []).append(i)
     placed = set()
     out = []
-    for i, row in enumerate(system.rows):
+    for i, key in enumerate(system.keys):
         if i in placed:
             continue
-        perms = {row: tuple(range(system.n))}
-        queue = [row]
+        perms = {key: tuple(range(system.n))}
+        queue = [key]
         while queue:
             cur = queue.pop()
             for g in gens:
-                nxt = (_permute(cur[0], g, system.rank), cur[1])
+                nxt = _permute_key(cur, g)
                 if nxt not in perms:
                     perms[nxt] = tuple(perms[cur][t] for t in g)
                     queue.append(nxt)
         members = sorted((k, perm) for r, perm in perms.items()
-                         for k in by_row[r])
+                         for k in by_key[r])
         placed.update(k for k, _ in members)
-        out.append((i, members))
+        out.append(members)
     return out
 
 
-@dataclass(frozen=True)
-class _BlockIndex:
-    """The rows of a compiled system through their factor blocks.  Each row
-    is n blocks of rank coefficients, and a generated system has few
-    distinct blocks (48 at D4 n=4, for 8320 rows) and few distinct halves:
-    a left half is the right side and the blocks of the first n // 2
-    factors, a right half the blocks of the others (1200 and 518 at D4
-    n=4).  A half's value at a point sums lookups into the blocks' dot
-    products with the point's blocks, and a row's excess is the sum of its
-    two halves' values, all taken once per point.  weights[i] is the lcm of
-    the rows' nonzero squared norms over row i's, so excess**2 * weights[i]
-    orders rows as excess**2 / norm does."""
-    n: int
-    rank: int
-    theta: tuple
-    blocks: tuple      # every distinct block, over all factors
-    left: tuple        # (rhs, ids at factor 0, ...) over the left halves
-    right: tuple       # (ids at factor n // 2, ...) over the right halves
-    rows: tuple        # rows[i]: (left half, right half) of row i
-    weights: tuple
-
-
-def _block_index(system):
-    n, rank = system.n, system.rank
-    blocks, left, right, rows = {}, {}, {}, []
-    for coeffs, rhs in system.rows:
-        ids = tuple(blocks.setdefault(coeffs[t * rank:(t + 1) * rank],
-                                      len(blocks)) for t in range(n))
-        rows.append((left.setdefault((rhs,) + ids[:n // 2], len(left)),
-                     right.setdefault(ids[n // 2:], len(right))))
-    norms = [sum(c * c for c in coeffs) for coeffs, _ in system.rows]
-    common = lcm(*filter(None, norms))
-    return _BlockIndex(
-        n, rank, system.theta, tuple(blocks), tuple(zip(*left)),
-        tuple(zip(*right)), tuple(rows),
-        tuple(common // v if v else 0 for v in norms))
-
-
-def _block_dots(index, x):
+def _block_dots(system, x):
     """dots[k][b]: block b times block k of the integer point x."""
-    rank = index.rank
+    rank = system.rank
     return [[sum(map(mul, b, x[k * rank:(k + 1) * rank]))
-             for b in index.blocks] for k in range(index.n)]
+             for b in system.blocks] for k in range(system.n)]
 
 
-def _halves(index, dots, den, perm):
+def _halves(system, dots, den, perm):
     """The values of the left halves, less rhs * den, and of the right
     halves at y, where block t of the point y is block perm[t] of the point
     whose _block_dots are dots; a row's two values sum to coeffs . y -
     rhs * den, which has the sign of its excess at y / den."""
-    rhs, *cols = index.left
+    rhs, *cols = system.left
     left = _lookups(map(mul, rhs, itertools.repeat(-den)), cols, dots, perm)
-    right = _lookups(itertools.repeat(0), index.right, dots, perm[len(cols):])
+    right = _lookups(itertools.repeat(0), system.right, dots,
+                     perm[len(cols):])
     return left, right
 
 
@@ -555,27 +554,27 @@ def _lookups(total, cols, dots, factors):
     return list(total)
 
 
-def _violated(index, left, right):
+def _violated(system, left, right):
     """The rows whose halves' values sum to a positive excess."""
-    return [i for i, (p, q) in enumerate(index.rows)
+    return [i for i, p, q in zip(itertools.count(), *system.halves)
             if left[p] + right[q] > 0]
 
 
-def _separated(index, witness, members):
+def _separated(system, witness, members):
     """check_certificate's verdict through the block ids, for each (k, perm)
     of members: whether the witness with its blocks permuted by perm
     separates row k.  The alcove test does not see the order of the blocks,
     so it is made once."""
-    n, rank = index.n, index.rank
+    n, rank = system.n, system.rank
     if len(witness) != n * rank:
         return [False] * len(members)
     x, den = _integral(witness)
     if any(v < 0 for v in x) or any(
-            sum(map(mul, index.theta, x[k * rank:(k + 1) * rank])) > den
+            sum(map(mul, system.theta, x[k * rank:(k + 1) * rank])) > den
             for k in range(n)):
         return [False] * len(members)
-    dots = _block_dots(index, x)
-    return [_violated(index, *_halves(index, dots, den, perm)) == [k]
+    dots = _block_dots(system, x)
+    return [_violated(system, *_halves(system, dots, den, perm)) == [k]
             for k, perm in members]
 
 
@@ -583,16 +582,15 @@ def _separated(index, witness, members):
 _ADD = 8
 
 
-def _most_violated(index, violated, left, right):
+def _most_violated(system, violated, left, right):
     """The _ADD rows of violated with the largest excess**2 / norm, ties to
     the lower index, from the values of the halves."""
-    def key(i):
-        p, q = index.rows[i]
-        return -(left[p] + right[q]) ** 2 * index.weights[i], i
-    return sorted(violated, key=key)[:_ADD]
+    p, q = system.halves
+    return sorted(violated, key=lambda i: (
+        -(left[p[i]] + right[q[i]]) ** 2 * system.weights[i], i))[:_ADD]
 
 
-def _certify_row(system, j, index=None):
+def _certify_row(system, j):
     """Certify row j: maximize its left side subject to every other row
     plus the alcove constraints.  An optimum beyond the right side is
     attained at a vertex violating only row j; one that reaches no further
@@ -601,30 +599,26 @@ def _certify_row(system, j, index=None):
 
     The LP is solved by row generation (Kelley's cutting planes).  The
     first relaxation holds the n alcove rows alone; after each, every other
-    row is evaluated at its maximizer in integers, through index (a
-    _BlockIndex of system, built when not given), and the _ADD most
-    violated rows join the relaxation.  Each relaxation's optimum bounds
-    the full one from above, and the first maximizer that satisfies every
-    row attains it; that maximizer is the witness."""
-    if index is None:
-        index = _block_index(system)
+    row is evaluated at its maximizer in integers, through the block ids,
+    and the _ADD most violated rows join the relaxation.  Each relaxation's
+    optimum bounds the full one from above, and the first maximizer that
+    satisfies every row attains it; that maximizer is the witness."""
     n, rank = system.n, system.rank
-    identity = tuple(range(n))
-    coeffs, rhs = system.rows[j]
+    coeffs, rhs = system.row(j)
     active = []
     while True:
         rows = [[0] * (k * rank) + list(system.theta)
                 + [0] * ((n - 1 - k) * rank) + [1] for k in range(n)]
-        rows += [[*system.rows[i][0], system.rows[i][1]] for i in active]
+        rows += [[*c, b] for c, b in map(system.row, active)]
         lp = _Simplex(rows)
         opt = lp.maximize(coeffs)
         point = lp.solution()
         x, den = _integral(point)
-        halves = _halves(index, _block_dots(index, x), den, identity)
-        violated = [i for i in _violated(index, *halves) if i != j]
+        halves = _halves(system, _block_dots(system, x), den, range(n))
+        violated = [i for i in _violated(system, *halves) if i != j]
         if not violated:
             break
-        added = _most_violated(index, violated, *halves)
+        added = _most_violated(system, violated, *halves)
         # the relaxation's maximizer satisfies every row it holds
         assert not set(added) & set(active), "a relaxation row is violated"
         active = sorted(active + added)
@@ -633,17 +627,28 @@ def _certify_row(system, j, index=None):
     return False, "dominated", opt / system.scales[j], ()
 
 
+def _certify_orbit(system, members):
+    """(certified, method, optimum, witness) for each (member, perm) of an
+    orbit: the representative's _certify_row verdict with the witness
+    permuted by perm, once _separated has re-checked it."""
+    ok, method, opt, witness = _certify_row(system, members[0][0])
+    checks = (_separated(system, witness, members) if ok
+              else [True] * len(members))
+    return [(ok, method, opt, _permute(witness, perm, system.rank)) if checked
+            else (False, "uncertified", opt, ())
+            for (_, perm), checked in zip(members, checks)]
+
+
 _WORKER_SYSTEM = None
-_WORKER_INDEX = None
 
 
-def _init_worker(system, index):
-    global _WORKER_SYSTEM, _WORKER_INDEX
-    _WORKER_SYSTEM, _WORKER_INDEX = system, index
+def _init_worker(system):
+    global _WORKER_SYSTEM
+    _WORKER_SYSTEM = system
 
 
-def _certify_in_worker(j):
-    return _certify_row(_WORKER_SYSTEM, j, _WORKER_INDEX)
+def _certify_in_worker(members):
+    return _certify_orbit(_WORKER_SYSTEM, members)
 
 
 def irredundancy_check(rs: RootSystem, n, inequalities, workers=None) -> IrredundancyReport:
@@ -655,19 +660,17 @@ def irredundancy_check(rs: RootSystem, n, inequalities, workers=None) -> Irredun
     dominated.  The other members of the orbit take over the optimum and
     method, and the witness with its blocks permuted.  Every member's
     separating point is re-checked in integers against every row, with
-    check_certificate's verdict, through one block index of the system
-    (_separated); one that fails the check is reported uncertified.
-    workers > 1 spreads the orbits over at most os.cpu_count() spawned
-    processes."""
+    check_certificate's verdict, through the block ids (_separated); one
+    that fails the check is reported uncertified.  Each orbit's LP and
+    re-checks are one task (_certify_orbit); workers > 1 spreads the tasks
+    over at most os.cpu_count() spawned processes."""
     if n < 3:
         warnings.warn("with fewer than three factors the region can have "
                       "empty interior; irredundancy certificates are then "
                       "meaningless", stacklevel=2)
     system = compile_system(rs, n, inequalities)
     inequalities = system.inequalities
-    index = _block_index(system)
     orbits = _orbits(system)
-    reps = [rep for rep, _ in orbits]
     # the pool starts a process per pending orbit up to max_workers, so
     # more workers than cores would only pay more spawn start-ups
     workers = min(workers or 1, os.cpu_count() or 1)
@@ -679,23 +682,15 @@ def irredundancy_check(rs: RootSystem, n, inequalities, workers=None) -> Irredun
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=get_context("spawn"),
                                  initializer=_init_worker,
-                                 initargs=(system, index)) as pool:
-            results = list(pool.map(_certify_in_worker, reps))
+                                 initargs=(system,)) as pool:
+            results = list(pool.map(_certify_in_worker, orbits))
     else:
-        results = [_certify_row(system, j, index) for j in reps]
+        results = [_certify_orbit(system, members) for members in orbits]
 
     certs = [None] * len(inequalities)
-    for (_, members), (ok, method, opt, witness) in zip(orbits, results):
-        # a dominated row has no witness to check
-        checks = (_separated(index, witness, members) if ok
-                  else itertools.repeat(True))
-        for (k, perm), checked in zip(members, checks):
-            if checked:
-                certs[k] = Certificate(inequalities[k], ok, method, opt,
-                                       _permute(witness, perm, rs.rank))
-            else:
-                certs[k] = Certificate(inequalities[k], False, "uncertified",
-                                       opt, ())
+    for members, verdicts in zip(orbits, results):
+        for (k, _), verdict in zip(members, verdicts):
+            certs[k] = Certificate(inequalities[k], *verdict)
     return IrredundancyReport(tuple(certs))
 
 

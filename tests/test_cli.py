@@ -349,8 +349,9 @@ def test_verify_a3_n3(run):
 
 def test_verify_exits_1_when_a_certificate_fails_its_check(run, monkeypatch):
     # the integer re-check of every orbit member's witness rejects them all
-    monkeypatch.setattr(eigencone, "_separated",
-                        lambda index, witness, members: [False] * len(members))
+    monkeypatch.setattr(
+        eigencone, "_separated",
+        lambda system, witness, members: [False] * len(members))
     code, out, _ = run("verify", "--type", "A1", "-n", "3")
     assert code == 1
     lines = out.splitlines()

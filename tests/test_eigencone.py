@@ -23,6 +23,25 @@ def pt(*coords):
     return CartanPoint(tuple(Fraction(c) for c in coords))
 
 
+def _rows(system):
+    """Every row of a compiled system as the flat (coeffs, rhs) pair."""
+    return tuple(map(system.row, range(len(system))))
+
+
+def _system(rs, n, rows):
+    """compile_system of inequalities whose compiled rows are rows: each
+    block of integer simple-root coordinates becomes the weight it stands
+    for, so every row comes back at scale 1."""
+    rank = rs.rank
+    qs = [ec.Inequality(1, ((),) * n, 0, tuple(
+        Weight(tuple(sum(map(mul, cartan, coeffs[k * rank:(k + 1) * rank]))
+                     for cartan in rs.cartan)) for k in range(n)), rhs)
+        for coeffs, rhs in rows]
+    system = ec.compile_system(rs, n, qs)
+    assert _rows(system) == tuple(rows) and set(system.scales) <= {1}
+    return system
+
+
 @pytest.fixture(scope="module")
 def a1_n3():
     return ec.generate_inequalities(A1, 3)
@@ -123,7 +142,7 @@ def test_compile_matches_fraction_reference(t, r, n, hand):
     rs = build_root_system(t, r)
     qs = _hand_built(rs, n) if hand else ec.generate_inequalities(rs, n)
     system = ec.compile_system(rs, n, qs)
-    assert (system.rows, system.scales) == _reference_compile(rs, qs)
+    assert (_rows(system), system.scales) == _reference_compile(rs, qs)
 
 
 def test_compile_and_membership_skip_root_coords(monkeypatch):
@@ -215,6 +234,50 @@ def test_irredundancy_workers_capped_at_cpu_count(cpus, pool, monkeypatch):
     assert _InProcessPool.asked == pool
 
 
+def test_irredundancy_workers_recheck_in_the_pool_task(monkeypatch):
+    # each pool task re-checks its orbit's witnesses: every re-check runs
+    # while the pool maps its tasks, and one that refuses every witness
+    # leaves every certificate uncertified
+    import concurrent.futures
+    events = []
+
+    class Pool(_InProcessPool):
+        def map(self, fn, items):
+            events.append("map")
+            out = list(map(fn, items))
+            events.append("done")
+            return out
+
+    def refuse(system, witness, members):
+        events.append("check")
+        return [False] * len(members)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(_InProcessPool, "asked", [])
+    monkeypatch.setattr(ec, "_WORKER_SYSTEM", None)
+    monkeypatch.setattr(ec.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(ec, "_separated", refuse)
+    qs = ec.generate_inequalities(B2, 3)
+    report = ec.irredundancy_check(B2, 3, qs, workers=2)
+    assert _InProcessPool.asked == [2]
+    assert events == ["map"] + ["check"] * len(ec._orbits(
+        ec.compile_system(B2, 3, qs))) + ["done"]
+    assert len(report.certificates) == len(qs)
+    assert all((c.certified, c.method, c.witness) == (False, "uncertified", ())
+               for c in report.certificates)
+
+
+def test_empty_system():
+    # no inequality is violated or tight, and none needs a certificate
+    points = [pt("1/2"), pt(0), pt(1)]
+    assert ec.membership(A1, 3, points, []) == ec.MembershipVerdict(
+        "inside", (), ())
+    system = ec.compile_system(A1, 3, [])
+    assert len(system) == 0
+    assert ec.membership(A1, 3, points, system).status == "inside"
+    assert ec.irredundancy_check(A1, 3, []).certificates == ()
+
+
 def _one_lp_per_inequality(rs, n, qs):
     system = ec.compile_system(rs, n, qs)
     return [ec._certify_row(system, j)[:3] for j in range(len(qs))]
@@ -233,7 +296,7 @@ def test_orbit_reduction_matches_one_lp_per_inequality(t, r, n, orbits):
     report = ec.irredundancy_check(rs, n, qs)
     assert _verdicts(report) == _one_lp_per_inequality(rs, n, qs)
     for j, c in enumerate(report.certificates):
-        assert ec.check_certificate(rs, n, system.rows, j, c.witness)
+        assert ec.check_certificate(rs, n, _rows(system), j, c.witness)
 
 
 def _signs(q):
@@ -246,7 +309,7 @@ def test_irredundancy_with_duplicate_row(a1_n3):
     # the copy breaks the symmetry of the row multiset down to the
     # permutations that fix the copied row, and shares its orbit
     assert ec._block_symmetries(system) == [(0, 1, 2), (0, 2, 1)]
-    assert ec._orbits(system)[0] == (0, [(0, (0, 1, 2)), (4, (0, 1, 2))])
+    assert ec._orbits(system)[0] == [(0, (0, 1, 2)), (4, (0, 1, 2))]
     report = ec.irredundancy_check(A1, 3, qs)
     assert _verdicts(report) == _one_lp_per_inequality(A1, 3, qs)
     # each copy bounds the other, so neither can be separated and both
@@ -448,16 +511,18 @@ def test_membership_symmetric_in_points(ms, perm):
 
 @settings(max_examples=40, deadline=None)
 @given(ms=st.tuples(*[st.fractions(min_value=0, max_value=Fraction(1, 3),
-                                   max_denominator=12)] * 6))
+                                   max_denominator=12)] * 8))
 def test_membership_matches_slack_reference(ms):
     # B2's weights have half-integer root coordinates, so the compiled rows
-    # are scaled; the verdict must still follow the plain slacks
-    qs = ec.generate_inequalities(B2, 3)
-    points = [pt(*ms[k:k + 2]) for k in (0, 2, 4)]
-    slacks = [q.slack(B2, points) for q in qs]
-    v = ec.membership(B2, 3, points, qs)
-    assert v.violated == tuple(q for q, s in zip(qs, slacks) if s < 0)
-    assert v.tight == tuple(q for q, s in zip(qs, slacks) if s == 0)
+    # are scaled; the verdict must still follow the plain slacks.  At n=3 a
+    # row's left half holds its right side and one block, at n=4 two
+    for n in (3, 4):
+        qs = ec.generate_inequalities(B2, n)
+        points = [pt(*ms[k:k + 2]) for k in range(0, 2 * n, 2)]
+        slacks = [q.slack(B2, points) for q in qs]
+        v = ec.membership(B2, n, points, qs)
+        assert v.violated == tuple(q for q, s in zip(qs, slacks) if s < 0)
+        assert v.tight == tuple(q for q, s in zip(qs, slacks) if s == 0)
 
 
 @pytest.mark.parametrize("n, theta", [
@@ -471,8 +536,8 @@ def test_membership_matches_slack_reference(ms):
 def test_certify_row_bound_only_reached_is_dominated(n, theta):
     # maximizing x1 against x1 <= 1 reaches the bound but cannot pass it,
     # so the other rows imply it, facet of the region or not
-    system = ec.CompiledSystem(n, len(theta), theta, (((1, 0), 1),), (1,),
-                               (None,))
+    system = _system(build_root_system("A", len(theta)), n, [((1, 0), 1)])
+    assert system.theta == theta
     assert ec._certify_row(system, 0) == (False, "dominated", 1, ())
 
 
@@ -482,9 +547,9 @@ def _full_tableau_certify_row(system, j):
     n, rank = system.n, system.rank
     rows = [[0] * (k * rank) + list(system.theta) + [0] * ((n - 1 - k) * rank)
             + [1] for k in range(n)]
-    rows += [[*coeffs, rhs] for i, (coeffs, rhs) in enumerate(system.rows)
+    rows += [[*coeffs, rhs] for i, (coeffs, rhs) in enumerate(_rows(system))
              if i != j]
-    coeffs, rhs = system.rows[j]
+    coeffs, rhs = system.row(j)
     lp = ec._Simplex(rows)
     opt = lp.maximize(coeffs)
     if opt > rhs:
@@ -499,8 +564,8 @@ def _hand_built_lists(a1_n3):
     return [ec.compile_system(A1, 3, qs)
             for qs in (dup, not_invariant, slack)] + [
         # the square and the triangle of the dominated test above
-        ec.CompiledSystem(2, 1, (1,), (((1, 0), 1),), (1,), (None,)),
-        ec.CompiledSystem(1, 2, (1, 1), (((1, 0), 1),), (1,), (None,))]
+        _system(A1, 2, [((1, 0), 1)]),
+        _system(build_root_system("A", 2), 1, [((1, 0), 1)])]
 
 
 @pytest.mark.parametrize("t, r, n", [
@@ -509,17 +574,16 @@ def _hand_built_lists(a1_n3):
 def test_row_generation_matches_the_full_tableau(t, r, n):
     rs = build_root_system(t, r)
     system = ec.compile_system(rs, n, ec.generate_inequalities(rs, n))
-    index = ec._block_index(system)
-    for j, _ in ec._orbits(system):
-        got = ec._certify_row(system, j, index)
+    for (j, _), *_ in ec._orbits(system):
+        got = ec._certify_row(system, j)
         assert got[:3] == _full_tableau_certify_row(system, j)[:3]
         # the final relaxation's maximizer separates row j from every row
-        assert ec.check_certificate(rs, n, system.rows, j, got[3])
+        assert ec.check_certificate(rs, n, _rows(system), j, got[3])
 
 
 def test_row_generation_matches_the_full_tableau_on_hand_built_lists(a1_n3):
     for system in _hand_built_lists(a1_n3):
-        for j in range(len(system.rows)):
+        for j in range(len(system)):
             assert ec._certify_row(system, j)[:3] == \
                 _full_tableau_certify_row(system, j)[:3]
 
@@ -550,21 +614,20 @@ def test_rows_join_by_violation_over_norm(t, r):
     # |a|**2 as Fractions, ties to the lower index
     rs = build_root_system(t, r)
     system = ec.compile_system(rs, 3, ec.generate_inequalities(rs, 3))
-    index = ec._block_index(system)
+    rows = _rows(system)
     vertices = [[0] * r] + [[60 // rs.highest_root[m] * (i == m)
                              for i in range(r)] for m in range(r)]
     ranked = 0
     for blocks in itertools.product(vertices, repeat=3):
         x = [v for block in blocks for v in block]
-        left, right = ec._halves(index, ec._block_dots(index, x), 60,
+        left, right = ec._halves(system, ec._block_dots(system, x), 60,
                                  (0, 1, 2))
-        violated = ec._violated(index, left, right)
-        excess = [sum(map(mul, coeffs, x)) - rhs * 60
-                  for coeffs, rhs in system.rows]
+        violated = ec._violated(system, left, right)
+        excess = [sum(map(mul, coeffs, x)) - rhs * 60 for coeffs, rhs in rows]
         assert violated == [i for i, e in enumerate(excess) if e > 0]
         expected = sorted(violated, key=lambda i: (-Fraction(
-            excess[i] ** 2, sum(c * c for c in system.rows[i][0])), i))
-        assert ec._most_violated(index, violated, left, right) == \
+            excess[i] ** 2, sum(c * c for c in rows[i][0])), i))
+        assert ec._most_violated(system, violated, left, right) == \
             expected[:ec._ADD]
         ranked += len(violated) > ec._ADD
     assert ranked
@@ -573,7 +636,7 @@ def test_rows_join_by_violation_over_norm(t, r):
 def _members_and_strangers(system, members):
     """The members of an orbit, and each one's perm paired with the next
     row's index, which its witness does not separate."""
-    return members + [((k + 1) % len(system.rows), perm)
+    return members + [((k + 1) % len(system), perm)
                       for k, perm in members]
 
 
@@ -583,14 +646,13 @@ def test_block_id_check_matches_check_certificate(t, r):
     qs = ec.generate_inequalities(rs, 3)
     report = ec.irredundancy_check(rs, 3, qs)
     system = ec.compile_system(rs, 3, qs)
-    index = ec._block_index(system)
-    for rep, members in ec._orbits(system):
-        witness = report.certificates[rep].witness
+    for members in ec._orbits(system):
+        witness = report.certificates[members[0][0]].witness
         pairs = _members_and_strangers(system, members)
         expected = [ec.check_certificate(
-            rs, 3, system.rows, k, ec._permute(witness, perm, rs.rank))
+            rs, 3, _rows(system), k, ec._permute(witness, perm, rs.rank))
             for k, perm in pairs]
-        assert ec._separated(index, witness, pairs) == expected
+        assert ec._separated(system, witness, pairs) == expected
         assert expected == [True] * len(members) + [False] * len(members)
 
 
@@ -599,25 +661,23 @@ def test_block_id_check_rejects_tampered_witnesses():
     # witnesses, through the block ids
     F = Fraction
     rows = (((2, 0), 1), ((0, 2), 1), ((1, 1), 1))
-    system = ec.CompiledSystem(2, 1, (1,), rows, (1, 1, 1), (None,) * 3)
-    index = ec._block_index(system)
+    system = _system(A1, 2, rows)
     # ("3/4", "-1/4") leaves the alcove by its sign alone
     for w in [("3/4", 0), ("5/4", "-1/2"), ("3/4", "-1/4"), ("3/4", "1/2"),
               ("1/2", 0), ("3/4",), (0, "3/4")]:
         w = tuple(F(v) for v in w)
         for perm in [(0, 1), (1, 0)]:
-            assert ec._separated(index, w, [(0, perm)]) == [
+            assert ec._separated(system, w, [(0, perm)]) == [
                 ec.check_certificate(A1, 2, rows, 0,
                                      ec._permute(w, perm, 1))]
-    assert ec._separated(index, (F(3, 4), 0), [(0, (0, 1)), (0, (1, 0))]) \
+    assert ec._separated(system, (F(3, 4), 0), [(0, (0, 1)), (0, (1, 0))]) \
         == [True, False]
-    assert ec._separated(index, (F(3, 4), F(-1, 4)), [(0, (0, 1))]) == [False]
+    assert ec._separated(system, (F(3, 4), F(-1, 4)), [(0, (0, 1))]) == [False]
     a2 = build_root_system("A", 2)
-    system = ec.CompiledSystem(1, 2, (1, 1), (((2, 0), 1),), (1,), (None,))
-    index = ec._block_index(system)
-    assert ec._separated(index, (F(3, 4), F(1, 2)), [(0, (0,))]) == [False]
-    assert ec._separated(index, (F(3, 4), F(1, 4)), [(0, (0,))]) == [True]
-    assert ec.check_certificate(a2, 1, system.rows, 0, (F(3, 4), F(1, 4)))
+    system = _system(a2, 1, [((2, 0), 1)])
+    assert ec._separated(system, (F(3, 4), F(1, 2)), [(0, (0,))]) == [False]
+    assert ec._separated(system, (F(3, 4), F(1, 4)), [(0, (0,))]) == [True]
+    assert ec.check_certificate(a2, 1, _rows(system), 0, (F(3, 4), F(1, 4)))
 
 
 class _FractionSimplex:
