@@ -5,20 +5,21 @@ product of matrices drawn from the corresponding conjugacy classes of
 SU(r+1) for A_r or Sp(2r) for C_r, where the class of mu has the phases
 w(mu) over the orbit of omega_1.  Seeded random restarts of gradient
 descent over the conjugating unitaries search for a witness, each step
-along the Cayley map (Wen and Yin, Math. Program. 142, 2013), which sends
-the projected gradient in u(N) or sp(2r) to a group element with one
-linear solve; each restart backtracks on its own.  The starts are the
-Cayley images of projected skew parts of Gaussian matrices, drawn from one
-stream seeded by `seed`, one block per restart, so restart k's start
-depends on (seed, k) alone.  On unitaries the gradient of
+along the Cayley map (Wen and Yin, Math. Program. 142, 2013) of the
+projected gradient in u(N) or sp(2r), taken as one linear solve against
+the unitaries themselves; each restart backtracks on its own.  The starts
+are the Cayley images of projected skew parts of Gaussian matrices, drawn
+from one stream seeded by `seed`, one block per restart, so restart k's
+start depends on (seed, k) alone.  On unitaries the gradient of
 |M_1 ... M_n - I|^2 in the k-th conjugating unitary is the skew-Hermitian
 part of R_k - R_{k+1}, with no prefix or suffix products:
 R_k = M_k ... M_n M_1 ... M_{k-1} are the cyclic rotations of the
 residual's product P = R_1 and R_{k+1} = M_k^dag R_k M_k.
 
 Candidates are polished by cyclically re-solving one factor at a time from
-the eigenvectors of what the other factors force it to be, for Sp(2r) in
-a frame whose first r columns are made isotropic: the best restart at
+the eigenvectors of what the other factors force it to be, the adjoint of
+their cyclic rotation M_{k+1} ... M_n M_1 ... M_{k-1}, for Sp(2r) in a
+frame whose first r columns are made isotropic: the best restart at
 iterations 0, 1, 2, 4, 8, ..., stopping the search at the first checked
 witness far below tolerance, and otherwise the ten best at the end.  The
 descent ends after ITERS iterations, or sooner once the best value has
@@ -104,14 +105,15 @@ class OracleVerdict:
     residual: float
 
 
-def _cayley(a):
-    """Cayley map (I - a/2)^-1 (I + a/2) of batched skew-Hermitian matrices.
+def _cayley(a, b):
+    """Cayley step Cayley(a) b of batched matrices b, where Cayley(a) =
+    (I - a/2)^-1 (I + a/2) for batched skew-Hermitian a.
 
-    It agrees with exp to second order and maps u(N) into U(N), and sp(2r)
-    into Sp(2r), exactly up to rounding, for one batched linear solve."""
-    half = 0.5 * a
-    eye = np.eye(a.shape[-1])
-    return np.linalg.solve(eye - half, eye + half)
+    Cayley(a) agrees with exp to second order and maps u(N) into U(N), and
+    sp(2r) into Sp(2r), exactly up to rounding.  Since I + a/2 is
+    2I - (I - a/2), the step is 2 (I - a/2)^-1 b - b: one batched linear
+    solve against b, with no product after it."""
+    return np.linalg.solve(np.eye(a.shape[-1]) - 0.5 * a, 2 * b) - b
 
 
 def _dagger(a):
@@ -205,7 +207,7 @@ def _descent(rep, ds, restarts, seed, iters, stop_below, checkpoint):
     z = np.random.default_rng(seed).standard_normal(
         (restarts, 2, n, bigN, bigN))
     h = z[:, 0] + 1j * z[:, 1]
-    us = _cayley(_project(rep, 0.5 * (h - _dagger(h))))
+    us = _cayley(_project(rep, 0.5 * (h - _dagger(h))), np.eye(bigN))
 
     eta = np.full(restarts, 0.2)
     mats = _conjugate(us, ds)
@@ -230,8 +232,8 @@ def _descent(rep, ds, restarts, seed, iters, stop_below, checkpoint):
         for _ in range(10):
             if not live.size:
                 break
-            cand_us = _mm(_cayley(-eta[live, None, None, None] * grad[live]),
-                          us[live])
+            cand_us = _cayley(-eta[live, None, None, None] * grad[live],
+                              us[live])
             cand_mats = _conjugate(cand_us, ds)
             cand_prod = _product(cand_mats)
             cand_f = _residual_sq(cand_prod)
@@ -293,23 +295,26 @@ def _rebuild_factor(rep, target, diag):
 
 def _polish(rep, ds, mats, cycles):
     """Cyclic exact-resolve: replace one factor at a time by the nearest
-    class member to what the others force, keeping the best product seen."""
+    class member to what the others force, keeping the best product seen.
+
+    M_1 ... M_n = I forces M_k to be the inverse of the cyclic rotation
+    M_{k+1} ... M_n M_1 ... M_{k-1}, so that rotation's adjoint is factor
+    k's target; it is the empty product I when n = 1."""
     n = len(ds)
     eye = np.eye(rep.dim)
     mats = [np.array(m) for m in mats]
 
     def res():
-        p = functools.reduce(np.matmul, mats, eye)
-        return float(np.linalg.norm(p - eye))
+        return float(np.linalg.norm(functools.reduce(np.matmul, mats) - eye))
 
     best = res()
     best_mats = [m.copy() for m in mats]
     stalls = 0
     for _ in range(cycles):
         for k in range(n):
-            left = functools.reduce(np.matmul, mats[:k], eye)
-            right = functools.reduce(np.matmul, mats[k + 1:], eye)
-            target = np.conj(left.T) @ np.conj(right.T)
+            rot = (functools.reduce(np.matmul, mats[k + 1:] + mats[:k])
+                   if n > 1 else eye)
+            target = np.conj(rot.T)
             nxt = _rebuild_factor(rep, target, ds[k])
             if nxt is not None:
                 mats[k] = nxt

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -153,6 +154,15 @@ def test_sp4_both_sides():
     assert not v.feasible and v.residual > 0.5
 
 
+def test_one_point_search_keeps_its_residual():
+    # a single factor's class cannot contain I; the polish's rotation for
+    # n = 1 is the empty product, so its target is I itself
+    v = uo.numeric_membership(uo.group_rep("SU3"), [cp("1/4", "1/4")],
+                              restarts=20)
+    assert not v.feasible
+    assert abs(v.residual - 2) <= 1e-9
+
+
 def test_numeric_deterministic():
     rep = uo.group_rep("SU3")
     pts = [cp("1/4", "1/4")] * 3
@@ -259,13 +269,44 @@ def test_cayley_step_stays_in_the_group(seed, label, step):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((5, big, big)) + 1j * rng.standard_normal((5, big, big))
     a = uo._project(rep, 0.5 * (z - np.conj(np.swapaxes(z, -1, -2))))
-    r = uo._cayley(-step * a)
     eye = np.eye(big)
+    r = uo._cayley(-step * a, eye)
     for m in r:
         assert np.linalg.norm(np.conj(m.T) @ m - eye) <= 1e-12
         if rep.symplectic:
             j = _form(big // 2)
             assert np.linalg.norm(m.T @ j @ m - j) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       label=st.sampled_from(["SU2", "SU3", "SU4", "SU5", "Sp4", "Sp6"]),
+       step=st.floats(0, 2))
+def test_cayley_step_matches_the_two_step_form(seed, label, step):
+    # the fused step agrees with the map's own solve and a product after it
+    rep = uo.group_rep(label)
+    big = rep.dim
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((5, 3, big, big))
+         + 1j * rng.standard_normal((5, 3, big, big)))
+    a = -step * uo._project(rep, 0.5 * (z - uo._dagger(z)))
+    b = _random_group_batch(label, (5, 3), seed)
+    eye = np.eye(big)
+    want = uo._mm(np.linalg.solve(eye - 0.5 * a, eye + 0.5 * a), b)
+    assert np.abs(uo._cayley(a, b) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("label", ["SU2", "SU3", "SU4", "SU5", "Sp4", "Sp6"])
+def test_cayley_step_of_length_zero_returns_its_argument(label):
+    rep = uo.group_rep(label)
+    big = rep.dim
+    rng = np.random.default_rng(7)
+    z = (rng.standard_normal((5, 3, big, big))
+         + 1j * rng.standard_normal((5, 3, big, big)))
+    grad = uo._project(rep, 0.5 * (z - uo._dagger(z)))
+    b = _random_group_batch(label, (5, 3), 8)
+    for a in (0.0 * grad, -0.0 * grad):
+        assert np.array_equal(uo._cayley(a, b), b)
 
 
 def _expm_skew(s):
@@ -376,7 +417,7 @@ def test_gradient_is_the_slope_along_the_cayley_step(label):
     grad, norm2 = uo._gradient(rep, mats, uo._product(mats))
 
     def f(t):
-        step = uo._mm(uo._cayley(-t * grad), us)
+        step = uo._cayley(-t * grad, us)
         return uo._residual_sq(uo._product(uo._conjugate(step, ds)))
     h = 1e-5
     slope = (f(h) - f(-h)) / (2 * h)
@@ -599,6 +640,39 @@ def test_inside_search_ends_at_a_checkpoint(monkeypatch, label, coords):
     stop = len(steps)
     assert stop < uo.STALL_WINDOW and stop & (stop - 1) == 0
     assert len(calls) == _checkpoints_before(stop) + 1
+
+
+@pytest.mark.parametrize("label, coords", [
+    ("SU3", [("1/4", "1/4"), ("3/4", "0"), ("0", "3/4"), ("1/6", "1/3")]),
+    ("Sp4", [("1/8", "1/8"), ("1/4", "1/2"), ("1/20", "9/20"),
+             ("7/30", "9/20")]),
+])
+def test_polish_targets_are_the_cyclic_rotations(monkeypatch, label, coords):
+    # one cycle on a random n = 4 candidate: factor k's target is the
+    # adjoint of M_{k+1} ... M_n M_1 ... M_{k-1}, with the factors before
+    # k already replaced in this cycle (here by fresh class members, since
+    # a random candidate's spectra are too far apart to rebuild)
+    rep = uo.group_rep(label)
+    ds = np.array([np.diag(uo.class_matrix(rep, cp(*c))) for c in coords])
+    us = _random_group_batch(label, (1, 4), 5)
+    mats = list(uo._conjugate(us, ds)[0])
+    fresh = list(uo._conjugate(_random_group_batch(label, (1, 4), 6), ds)[0])
+    targets = []
+
+    def recorded(rep, target, diag):
+        targets.append(target.copy())
+        return fresh[len(targets) - 1]
+    monkeypatch.setattr(uo, "_rebuild_factor", recorded)
+    uo._polish(rep, ds, mats, 1)
+    assert len(targets) == 4
+    eye = np.eye(rep.dim)
+    cur = list(mats)
+    for k in range(4):
+        left = functools.reduce(np.matmul, cur[:k], eye)
+        right = functools.reduce(np.matmul, cur[k + 1:], eye)
+        want = np.conj(left.T) @ np.conj(right.T)
+        assert np.abs(targets[k] - want).max() <= 1e-12
+        cur[k] = fresh[k]
 
 
 # The first three inside tuples and the first outside one that a seeded
