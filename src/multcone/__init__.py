@@ -11,7 +11,8 @@ from .deformed_ring import (DeformedElement, a_exponent, deformed_coeff_tuple,
 from .eigencone import (Certificate, DistinctnessReport, Inequality,
                         IrredundancyReport, MembershipVerdict,
                         baseline_inequalities, distinctness_check,
-                        generate_inequalities, irredundancy_check, membership)
+                        generate_inequalities, generated_system,
+                        irredundancy_check, membership)
 
 # The numeric oracle is the only user of numpy; its names are loaded on
 # first access (PEP 562), so importing multcone does not import numpy.
@@ -30,7 +31,7 @@ __all__ = [
     "Certificate", "DistinctnessReport", "Inequality",
     "IrredundancyReport", "MembershipVerdict",
     "baseline_inequalities", "distinctness_check", "generate_inequalities",
-    "irredundancy_check", "membership",
+    "generated_system", "irredundancy_check", "membership",
     *_ORACLE_NAMES,
 ]
 

@@ -18,8 +18,8 @@ import tempfile
 
 from . import eigencone
 from .deformed_ring import render_table
-from .eigencone import (generate_inequalities, inequality_to_obj, membership,
-                        compile_system, irredundancy_check,
+from .eigencone import (generate_inequalities, generated_system,
+                        inequality_to_obj, membership, irredundancy_check,
                         distinctness_check, points_from_obj)
 from .quantum_ring import build_structure_table
 from .root_system import build_root_system
@@ -221,9 +221,9 @@ def cmd_member(args):
     if len(points) != n:
         raise InputError(f"point file holds {len(points)} points, expected {n}")
     _prewarm(args, rs)
-    ineqs = generate_inequalities(rs, n)
+    system = generated_system(rs, n)
     try:
-        verdict = membership(rs, n, points, ineqs)
+        verdict = membership(rs, n, points, system)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if args.format == "json":
@@ -249,14 +249,14 @@ def cmd_verify(args):
     if args.workers is not None and args.workers < 1:
         raise InputError(f"--workers must be at least 1, got {args.workers}")
     _prewarm(args, rs)
-    ineqs = generate_inequalities(rs, n)
-    report = irredundancy_check(rs, n, ineqs, workers=args.workers)
-    distinct = distinctness_check(ineqs)
+    system = generated_system(rs, n)
+    report = irredundancy_check(rs, n, system, workers=args.workers)
+    distinct = distinctness_check(system.inequalities)
     good = sum(1 for c in report.certificates if c.certified)
     ok = report.all_certified and distinct.passed
     if args.format == "json":
         obj = {
-            "irredundant": good, "total": len(ineqs),
+            "irredundant": good, "total": len(system),
             "duplicate_pairs": [list(p) for p in distinct.pairs],
             "all_certified": report.all_certified,
             "certificates": [
@@ -267,7 +267,7 @@ def cmd_verify(args):
         }
         _emit(json.dumps(obj, indent=2))
     else:
-        lines = [f"{good}/{len(ineqs)} irredundant, "
+        lines = [f"{good}/{len(system)} irredundant, "
                  f"{len(distinct.pairs)} duplicate pairs"]
         lines += [f"{c.inequality} :: {c.method}" for c in report.certificates]
         lines += [f"duplicate: #{i} ~ #{j}" for i, j in distinct.pairs]
@@ -296,7 +296,7 @@ def cmd_oracle_compare(args):
         raise InputError(
             f"point file holds {len(points)} points, not a multiple of n={n}")
     _prewarm(args, rs)
-    system = compile_system(rs, n, generate_inequalities(rs, n))
+    system = generated_system(rs, n)
     tuples = [tuple(points[k:k + n]) for k in range(0, len(points), n)]
 
     rows, concordant, false_feasible = [], 0, 0

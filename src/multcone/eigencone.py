@@ -10,7 +10,8 @@ is always a subset of it.
 Everything here is exact.  An inequality list is compiled once, to integer
 rows held as ids of their factor blocks, and every row is evaluated through
 those ids: in membership, in row generation and in the re-check of every
-separating point.  The certificates' simplex pivots the rows in place, as a
+separating point.  A generated list is enumerated and compiled once per
+process and set of structure tables (generated_system).  The certificates' simplex pivots the rows in place, as a
 fraction-free tableau whose pivots are those of a rational one.
 """
 
@@ -32,7 +33,7 @@ from .deformed_ring import _specialized_tuple_coeff
 
 __all__ = [
     "Inequality", "structure_table",
-    "generate_inequalities", "baseline_inequalities",
+    "generate_inequalities", "generated_system", "baseline_inequalities",
     "membership", "MembershipVerdict", "CompiledSystem", "compile_system",
     "irredundancy_check", "IrredundancyReport", "Certificate",
     "check_certificate",
@@ -141,11 +142,44 @@ def _distinct_orderings(ms):
         perm[i + 1:] = perm[:i:-1]
 
 
+# (type, rank, n) -> [tables, inequalities, CompiledSystem or None]: the
+# generated system of the tables structure_table returned when it was
+# enumerated, compiled on the first generated_system request
+_SYSTEMS = {}
+
+
+def _generated(rs, n):
+    """The memo entry of the generated system for n factors, enumerated
+    afresh when structure_table no longer returns the tables it came from,
+    so a replaced table never serves a stale system."""
+    if n < 2:
+        raise ValueError("need n >= 2 tensor factors")
+    tables = tuple(structure_table(rs, ip) for ip in range(1, rs.rank + 1))
+    key = (rs.type_label, rs.rank, n)
+    entry = _SYSTEMS.get(key)
+    if entry is None or entry[0] != tables:
+        ineqs = _enumerate_system(
+            rs, n,
+            lambda t, tup, dd: _specialized_tuple_coeff(t, tup, dd) == 1)
+        entry = _SYSTEMS[key] = [tables, tuple(ineqs), None]
+    return entry
+
+
 def generate_inequalities(rs: RootSystem, n):
     """All inequalities whose specialized n-point coefficient is exactly 1,
-    over every maximal parabolic, sorted by (parabolic, d, words)."""
-    return _enumerate_system(
-        rs, n, lambda t, tup, dd: _specialized_tuple_coeff(t, tup, dd) == 1)
+    over every maximal parabolic, sorted by (parabolic, d, words): a fresh
+    list each call, enumerated once per process and set of tables."""
+    return list(_generated(rs, n)[1])
+
+
+def generated_system(rs: RootSystem, n):
+    """The CompiledSystem of generate_inequalities(rs, n), compiled once per
+    process and set of tables: every member, verify and oracle-compare
+    call on one system reads the same compiled rows."""
+    entry = _generated(rs, n)
+    if entry[2] is None:
+        entry[2] = compile_system(rs, n, entry[1])
+    return entry[2]
 
 
 def baseline_inequalities(rs: RootSystem, n):
@@ -168,8 +202,9 @@ class CompiledSystem:
     rows).  A left half is a key's first n // 2 + 1 entries, a right half
     the others; left and right hold the distinct halves as columns (1200
     and 518 at D4 n=4), halves the columns of each row's two half numbers.
-    membership takes one in place of the list, so a caller checking many
-    tuples against one list compiles it once."""
+    membership and irredundancy_check take one in place of the list, so a
+    caller checking many tuples against one list compiles it once, and
+    generated_system compiles each generated list once per process."""
     n: int
     rank: int
     theta: tuple
@@ -253,10 +288,21 @@ def compile_system(rs: RootSystem, n, inequalities) -> CompiledSystem:
         _columns(halves, 2), tuple(scales), inequalities)
 
 
+def _compiled(rs, n, inequalities):
+    """inequalities itself when it is a CompiledSystem, which must be one
+    for n factors at rs's rank, else the CompiledSystem of the list."""
+    if not isinstance(inequalities, CompiledSystem):
+        return compile_system(rs, n, inequalities)
+    system = inequalities
+    if (system.n, system.rank) != (n, rs.rank):
+        raise ValueError(f"system compiled for n={system.n}, rank "
+                         f"{system.rank}; expected n={n}, rank {rs.rank}")
+    return system
+
+
 def _columns(tuples, width):
     """The width columns of a sequence of width-tuples."""
     return tuple(zip(*tuples)) or ((),) * width
-
 
 
 def _root_block(coords, inverse, inv_den):
@@ -298,13 +344,7 @@ def membership(rs: RootSystem, n, points, inequalities) -> MembershipVerdict:
                              f"expected {rs.rank}")
         if not rs.in_alcove(p):
             raise ValueError(f"point {k + 1} is not in the fundamental alcove")
-    if isinstance(inequalities, CompiledSystem):
-        system = inequalities
-        if (system.n, system.rank) != (n, rs.rank):
-            raise ValueError(f"system compiled for n={system.n}, rank "
-                             f"{system.rank}; expected n={n}, rank {rs.rank}")
-    else:
-        system = compile_system(rs, n, inequalities)
+    system = _compiled(rs, n, inequalities)
     x, den = _integral([m for p in points for m in p.coords])
     left, right = _halves(system, _block_dots(system, x), den, range(n))
     # each row's excess times scale * den, which keeps the excess's sign
@@ -663,12 +703,14 @@ def irredundancy_check(rs: RootSystem, n, inequalities, workers=None) -> Irredun
     check_certificate's verdict, through the block ids (_separated); one
     that fails the check is reported uncertified.  Each orbit's LP and
     re-checks are one task (_certify_orbit); workers > 1 spreads the tasks
-    over at most os.cpu_count() spawned processes."""
+    over at most os.cpu_count() spawned processes.  inequalities is a list
+    or its CompiledSystem, as for membership; the certificates are the
+    same either way."""
     if n < 3:
         warnings.warn("with fewer than three factors the region can have "
                       "empty interior; irredundancy certificates are then "
                       "meaningless", stacklevel=2)
-    system = compile_system(rs, n, inequalities)
+    system = _compiled(rs, n, inequalities)
     inequalities = system.inequalities
     orbits = _orbits(system)
     # the pool starts a process per pending orbit up to max_workers, so

@@ -29,6 +29,7 @@ def isolated_cache(tmp_path, monkeypatch):
     # may leak between tests
     monkeypatch.setenv("MULTCONE_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setattr(eigencone, "_TABLES", {})
+    monkeypatch.setattr(eigencone, "_SYSTEMS", {})
     return tmp_path / "cache"
 
 
@@ -359,24 +360,64 @@ def test_verify_exits_1_when_a_certificate_fails_its_check(run, monkeypatch):
     assert all(ln.endswith(" :: uncertified") for ln in lines[1:])
 
 
-def test_oracle_compare_text(run, tmp_path, monkeypatch):
-    # the inequality list is compiled once per invocation, not per tuple
+def count_compiles(monkeypatch):
+    """Record every inequality list compiled."""
     compiled = []
 
     def counting_compile(*args):
         compiled.append(args)
         return compile_system(*args)
-    monkeypatch.setattr(cli, "compile_system", counting_compile)
     monkeypatch.setattr(eigencone, "compile_system", counting_compile)
+    return compiled
+
+
+def test_oracle_compare_text(run, tmp_path, monkeypatch):
+    # the inequality list is compiled once per process, not per tuple or
+    # per invocation
+    compiled = count_compiles(monkeypatch)
     path = points_file(
         tmp_path, [["1/2"], ["1/2"], ["1/2"], ["1"], ["1"], ["1"]])
-    code, out, _ = run("oracle-compare", "--type", "A1", "-n", "3",
-                       "--point", path, "--restarts", "30")
+    argv = ("oracle-compare", "--type", "A1", "-n", "3", "--point", path,
+            "--restarts", "30")
+    code, out, _ = run(*argv)
     assert code == 0 and len(compiled) == 1
     lines = out.splitlines()
     assert lines[-1] == "2/2 concordant, 0 false-feasible"
     assert lines[0].startswith("#1: exact=inside numeric=feasible")
     assert lines[1].startswith("#2: exact=outside numeric=no-witness")
+    assert run(*argv) == (0, out, "")
+    code, member_out, _ = run("member", "--type", "A1", "-n", "3",
+                              "--point", points_file(tmp_path, [["1"]] * 3))
+    assert code == 0 and member_out.startswith("outside\n")
+    assert len(compiled) == 1
+
+
+def test_inequalities_compiles_nothing(run, monkeypatch):
+    compiled = count_compiles(monkeypatch)
+    for _ in range(2):
+        code, out, _ = run("inequalities", "--type", "A2", "-n", "3")
+        assert code == 0 and out.startswith("18 inequalities for A2, n=3\n")
+    assert compiled == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("member", "--type", "A3", "-n", "4", "--format", "json"),
+    ("verify", "--type", "B2", "-n", "3", "--format", "json"),
+])
+def test_memo_served_calls_print_what_a_cold_one_prints(run, tmp_path,
+                                                        monkeypatch, argv):
+    # a call served by the system memo is byte for byte a call that
+    # generated and compiled its system afresh
+    if argv[0] == "member":
+        argv += ("--point", points_file(tmp_path, [
+            ["0", "1/4", "0"], ["1/4", "1/4", "0"], ["1/4", "0", "1/4"],
+            ["0", "1/4", "3/4"]]))
+    compiled = count_compiles(monkeypatch)
+    cold = run(*argv)
+    assert cold[0] == 0 and len(compiled) == 1
+    assert run(*argv) == cold and len(compiled) == 1
+    monkeypatch.setattr(eigencone, "_SYSTEMS", {})
+    assert run(*argv) == cold and len(compiled) == 2
 
 
 def test_oracle_compare_json_schema(run, tmp_path):

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from multcone import eigencone as ec
 from multcone.deformed_ring import deformed_coeff_tuple
-from multcone.quantum_ring import gw_invariant
+from multcone.quantum_ring import build_structure_table, gw_invariant
 from multcone.root_system import (CartanPoint, RootSystem, Weight,
                                   build_root_system)
+from multcone.weyl import minimal_reps
 
 A1 = build_root_system("A", 1)
 B2 = build_root_system("B", 2)
@@ -197,6 +198,68 @@ def test_irredundancy_workers_match(a1_n3):
         seq = ec.irredundancy_check(rs, 3, qs)
         par = ec.irredundancy_check(rs, 3, qs, workers=2)
         assert seq == par
+
+
+@pytest.mark.parametrize("t, r, n", [("B", 2, 3), ("G", 2, 3), ("A", 2, 4)])
+def test_irredundancy_takes_the_compiled_system(t, r, n):
+    # the certify systems: the memoized CompiledSystem gives the list's
+    # verdict, method, optimum and witness for every inequality
+    rs = build_root_system(t, r)
+    qs = ec.generate_inequalities(rs, n)
+    from_list = ec.irredundancy_check(rs, n, qs).certificates
+    from_system = ec.irredundancy_check(
+        rs, n, ec.generated_system(rs, n)).certificates
+    assert [dataclasses.astuple(c) for c in from_system] == \
+        [dataclasses.astuple(c) for c in from_list]
+    assert all(c.certified for c in from_system)
+    with pytest.raises(ValueError, match=f"system compiled for n={n}"):
+        ec.irredundancy_check(rs, n + 1, ec.generated_system(rs, n))
+
+
+@pytest.fixture()
+def private_memo(monkeypatch):
+    # a replaced table must not reach the memos other tests share
+    monkeypatch.setattr(ec, "_TABLES", dict(ec._TABLES))
+    monkeypatch.setattr(ec, "_SYSTEMS", {})
+
+
+def test_generated_system_is_compiled_once(private_memo, monkeypatch):
+    compiled = []
+    real = ec.compile_system
+
+    def counting(*args):
+        compiled.append(args)
+        return real(*args)
+    monkeypatch.setattr(ec, "compile_system", counting)
+    qs = ec.generate_inequalities(B2, 3)
+    assert compiled == [], "generating a list compiled it"
+    system = ec.generated_system(B2, 3)
+    assert ec.generated_system(B2, 3) is system and len(compiled) == 1
+    assert system == real(B2, 3, qs)
+
+
+def test_a_replaced_table_regenerates_the_system(private_memo):
+    A2 = build_root_system("A", 2)
+    old = ec.generated_system(A2, 4)
+    ec.register_table(build_structure_table(minimal_reps(A2, {2})))
+    new = ec.generated_system(A2, 4)
+    assert new is not old and new.inequalities is not old.inequalities
+    assert new == ec.compile_system(A2, 4, ec.generate_inequalities(A2, 4))
+    assert ec.generated_system(A2, 4) is new
+
+
+def test_generated_lists_do_not_alias_the_memo(private_memo):
+    first = ec.generate_inequalities(B2, 3)
+    expected = list(first)
+    system = ec.generated_system(B2, 3)
+    first.reverse()
+    first.append(first[0])
+    del first[:3]
+    assert ec.generate_inequalities(B2, 3) == expected
+    again = ec.generate_inequalities(B2, 3)
+    assert again is not ec.generate_inequalities(B2, 3)
+    assert ec.generated_system(B2, 3) is system
+    assert list(system.inequalities) == expected
 
 
 class _InProcessPool:

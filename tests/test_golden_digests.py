@@ -104,6 +104,9 @@ DIGESTS = {
         "cec6c0aa9a412bd500aa01b8e0d2bfdea41536eee4d5ec28c6dfda34d0315b89",
     "verify --type C3 -n 3 --format json":
         "ad289fae2b2968cef858fcd49443d44c417df69919e097c168e91ecd5c838a93",
+    # rank 4: 1189 inequalities
+    "verify --type C4 -n 3 --format json":
+        "ba1c7aad5f91d5e132eb75d2020c0514d4da612753fbd75b7e9c010d6e9d301c",
     # rank 4: 756 inequalities, 151 orbits
     "verify --type D4 -n 3 --format json":
         "8ef6e2f440e44394b45b77817305af74d58f41e370718c9e5a355a597f2ff946",
